@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"cqa/internal/server"
+	"cqa/internal/wal"
 )
 
 // TestClassifyNormalizationRegression: textual variants of one query —
@@ -62,6 +63,38 @@ func TestServeFlagErrors(t *testing.T) {
 	}
 	if code := RunLoad([]string{"-bogus"}, &out, &errb); code != 2 {
 		t.Errorf("bad flag should exit 2, got %d", code)
+	}
+}
+
+// TestServeWALReplaySignatureConflict: a journal that gives a stored
+// relation a second signature (written by a build that accepted them)
+// fails the boot before the server listens, naming the record.
+func TestServeWALReplaySignatureConflict(t *testing.T) {
+	dir := t.TempDir()
+	l, err := wal.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []wal.Record{
+		{Op: "put", Name: "prod", Version: 1, Facts: []string{"R(a | b)", "S(b | 1)"}},
+		{Op: "apply", Name: "prod", Version: 2, Ops: []wal.OpRec{{K: "i", F: "R(c | d, e)"}}},
+	} {
+		if err := l.Append(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	l.Close()
+	var out, errb bytes.Buffer
+	if code := RunServe([]string{"-addr", "127.0.0.1:0", "-wal", dir}, &out, &errb); code != 1 {
+		t.Fatalf("boot over a two-signature journal exited %d, want 1\n%s", code, errb.String())
+	}
+	for _, frag := range []string{"wal replay", "record 2", "R(c | d, e)"} {
+		if !strings.Contains(errb.String(), frag) {
+			t.Errorf("boot error %q does not mention %q", errb.String(), frag)
+		}
+	}
+	if strings.Contains(out.String(), "listening") {
+		t.Error("server listened after a failed replay")
 	}
 }
 

@@ -417,3 +417,26 @@ func TestNodeExecShardWidthMismatch(t *testing.T) {
 		t.Fatalf("width-mismatch union = %v, monolithic = %v", got, want)
 	}
 }
+
+// TestNodeExecSchemaMismatch: a shard request whose query gives a
+// stored relation another signature is a permanent request error on
+// the node, for every kind — never an evaluation over mismatched
+// columns.
+func TestNodeExecSchemaMismatch(t *testing.T) {
+	node := cluster.NewLocalNode("n")
+	d, err := db.ParseFacts(nil, "R(a | b)\nS(b | 1)\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	node.Store.Put("prod", d)
+	for _, kind := range []cluster.Kind{cluster.KindBool, cluster.KindSingle, cluster.KindSweep, cluster.KindCheck} {
+		_, err := node.Exec(context.Background(), &cluster.EvalRequest{
+			Query: "R(x | y, w), S(y | z)", DB: "prod", Kind: kind, Shard: 0, Shards: 2,
+			Engine: "auto", Free: []string{"x"},
+		})
+		var reqErr *cluster.RequestError
+		if !errors.As(err, &reqErr) || reqErr.Code != "schema_mismatch" {
+			t.Errorf("kind %s: err = %v, want schema_mismatch request error", kind, err)
+		}
+	}
+}

@@ -29,6 +29,7 @@ import (
 	"cqa/internal/match"
 	"cqa/internal/query"
 	"cqa/internal/rewrite"
+	"cqa/internal/schema"
 	"cqa/internal/shard"
 	"cqa/internal/trace"
 )
@@ -193,6 +194,38 @@ type Result struct {
 	Fraction    float64 // meaningful only when Approximate
 }
 
+// SchemaError reports a relation that the database stores under
+// another signature than the query gives it. Uploads infer signatures
+// from the bar syntax, so a mismatch means the data and the query
+// disagree about keys or modes; evaluating anyway would index past the
+// stored columns or be silently wrong.
+type SchemaError struct {
+	Stored, Query schema.Relation
+}
+
+func (e *SchemaError) Error() string {
+	s, q := e.Stored, e.Query
+	return fmt.Sprintf("relation %s: stored signature [arity %d, key %d, mode %s] differs from the query's [arity %d, key %d, mode %s]",
+		q.Name, s.Arity, s.KeyLen, s.Mode, q.Arity, q.KeyLen, q.Mode)
+}
+
+// CheckSchema returns a *SchemaError when d stores a relation of q under
+// another signature than q's atom gives it. A database holds one
+// signature per relation, so the check reads one stored signature per
+// atom. Every certain, answers and count entry runs it before any
+// engine does. A nil database holds no relation.
+func CheckSchema(q query.Query, d *db.DB) error {
+	if d == nil {
+		return nil
+	}
+	for _, a := range q.Atoms {
+		if got, ok := d.Signature(a.Rel.Name); ok && got != a.Rel {
+			return &SchemaError{Stored: got, Query: a.Rel}
+		}
+	}
+	return nil
+}
+
 // Certain decides whether every repair of d satisfies q. It is a thin
 // wrapper that compiles a Plan and runs it once; callers that evaluate
 // the same query against many databases should Compile once (or use a
@@ -221,6 +254,9 @@ func CertainCtx(ctx context.Context, q query.Query, d *db.DB, opts Options) (Res
 func FalsifyingRepair(q query.Query, d *db.DB) (repair []db.Fact, found bool, err error) {
 	if !q.SelfJoinFree() {
 		return nil, false, fmt.Errorf("core: %s has a self-join", q)
+	}
+	if err := CheckSchema(q, d); err != nil {
+		return nil, false, err
 	}
 	r, ok, _ := conp.FalsifyingRepair(q, d)
 	return r, ok, nil

@@ -44,6 +44,9 @@ func (p *Plan) CountIndexed(ix *match.Index, opts Options) (CountResult, error) 
 // Approximate an oversized component is a counting.ErrComponentTooLarge
 // error. The counter is not sharded; opts.Shards/ShardPool are ignored.
 func (p *Plan) CountIndexedCtx(ctx context.Context, ix *match.Index, opts Options) (CountResult, error) {
+	if err := CheckSchema(p.Query, ix.DB); err != nil {
+		return CountResult{}, err
+	}
 	chk := evalctx.NewTraced(ctx, evalctx.Limits{MaxSteps: opts.MaxSteps, MemoCap: opts.MemoCap}, opts.Tracer)
 	if err := chk.Check(); err != nil {
 		return CountResult{}, err

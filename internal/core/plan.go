@@ -112,6 +112,9 @@ func (p *Plan) CertainIndexed(ix *match.Index, opts Options) (Result, error) {
 // opts.Approximate is set, the decision degrades to repair sampling and
 // the Result reports Approximate=true.
 func (p *Plan) CertainIndexedCtx(ctx context.Context, ix *match.Index, opts Options) (Result, error) {
+	if err := CheckSchema(p.Query, ix.DB); err != nil {
+		return Result{}, err
+	}
 	chk := evalctx.NewTraced(ctx, evalctx.Limits{MaxSteps: opts.MaxSteps, MemoCap: opts.MemoCap}, opts.Tracer)
 	if pool, cleanup := shardedPool(ix, opts); pool != nil {
 		defer cleanup()
@@ -135,11 +138,7 @@ func (p *Plan) certainChecked(ctx context.Context, ix *match.Index, opts Options
 		if p.HasCycle {
 			return Result{}, fmt.Errorf("core: attack graph of %s is cyclic; CERTAINTY is not in FO", p.Query)
 		}
-		if p.Elim != nil {
-			res.Certain, err = p.Elim.CertainChecked(ix, nil, chk)
-		} else {
-			res.Certain = rewrite.CertainAcyclic(p.Query, ix.DB)
-		}
+		res.Certain, err = p.Elim.CertainChecked(ix, nil, chk)
 	case EnginePTime:
 		if p.HasStrongCycle {
 			return Result{}, fmt.Errorf("core: attack graph of %s has a strong cycle; CERTAINTY is coNP-complete", p.Query)
@@ -230,6 +229,9 @@ func (p *Plan) CertainAnswersIndexedCtx(ctx context.Context, free []query.Var, i
 			return nil, fmt.Errorf("core: free variable %s does not occur in %s", v, p.Query)
 		}
 	}
+	if err := CheckSchema(p.Query, ix.DB); err != nil {
+		return nil, err
+	}
 	chk := evalctx.NewTraced(ctx, evalctx.Limits{MaxSteps: opts.MaxSteps, MemoCap: opts.MemoCap}, opts.Tracer)
 	if err := chk.Check(); err != nil {
 		return nil, err
@@ -238,23 +240,20 @@ func (p *Plan) CertainAnswersIndexedCtx(ctx context.Context, free []query.Var, i
 		defer cleanup()
 		return p.certainAnswersSharded(ctx, free, ix, opts, chk, pool)
 	}
-	fastFO := p.ScatterableFO(opts)
 
 	// Batched block sweep (fast FO plans whose free variables read off
 	// the top atom's key): all candidates are derived and decided in
 	// one pass over the top relation's column spans, sharing one memo
 	// and one evaluation state — no join enumeration, no per-candidate
 	// eliminator walk. Answers come back in the canonical binding-key
-	// order, the same order the sharded merge produces. Irregular data
-	// falls through to the row-oriented enumerate-then-check path.
-	if fastFO && p.Elim.SweepableFree(free) {
-		if out, ok, err := p.Elim.SweepSpans(ix, nil, free, chk); ok {
-			if err != nil {
-				return nil, err
-			}
-			rewrite.SortValuationsByKey(out)
-			return out, nil
+	// order, the same order the sharded merge produces.
+	if p.ScatterableFO(opts) && p.Elim.SweepableFree(free) {
+		out, err := p.Elim.SweepSpans(ix, nil, free, chk)
+		if err != nil {
+			return nil, err
 		}
+		rewrite.SortValuationsByKey(out)
+		return out, nil
 	}
 
 	candidates, err := p.EnumerateCandidates(ix, free, opts, chk)

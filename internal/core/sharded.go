@@ -79,16 +79,7 @@ func (p *Plan) TopRelation() string {
 func (p *Plan) BoolShardTask(ix *match.Index) shard.Task[bool] {
 	topRel := p.TopRelation()
 	return func(v *shard.View, schk *evalctx.Checker) (bool, error) {
-		// Span path first: the shard's columnar block indices feed
-		// the interned walk. Irregular data (no spans, or a view
-		// that cannot decide) falls back to the row-oriented walk
-		// over the shard's block partition.
-		if spans, sok := v.SpansOf(topRel); sok {
-			if certain, iok, err := p.Elim.CertainOverSpans(ix, spans, schk); iok {
-				return certain, err
-			}
-		}
-		return p.Elim.CertainOverBlocks(ix, v.BlocksOf(topRel), schk)
+		return p.Elim.CertainOverSpans(ix, v.SpansOf(topRel), schk)
 	}
 }
 
@@ -99,12 +90,7 @@ func (p *Plan) BoolShardTask(ix *match.Index) shard.Task[bool] {
 func (p *Plan) SweepShardTask(ix *match.Index, free []query.Var) shard.Task[[]query.Valuation] {
 	topRel := p.TopRelation()
 	return func(v *shard.View, schk *evalctx.Checker) ([]query.Valuation, error) {
-		if spans, sok := v.SpansOf(topRel); sok {
-			if out, iok, err := p.Elim.SweepSpans(ix, spans, free, schk); iok {
-				return out, err
-			}
-		}
-		return p.Elim.SweepBlocks(ix, v.BlocksOf(topRel), free, schk)
+		return p.Elim.SweepSpans(ix, v.SpansOf(topRel), free, schk)
 	}
 }
 

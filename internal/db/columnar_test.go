@@ -1,7 +1,9 @@
 package db
 
 import (
+	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"cqa/internal/query"
@@ -35,9 +37,9 @@ func TestColumnarMatchesRowView(t *testing.T) {
 		t.Fatalf("RelNames = %v, want 2 relations", c.RelNames())
 	}
 	for _, name := range c.RelNames() {
-		cr, ok := c.Rel(name)
-		if !ok || cr == nil {
-			t.Fatalf("Rel(%q) = (%v, %v), want regular", name, cr, ok)
+		cr := c.Rel(name)
+		if cr == nil {
+			t.Fatalf("Rel(%q) = nil", name)
 		}
 		rowBlocks := d.BlocksOf(name)
 		if cr.Rel.NumBlocks() != len(rowBlocks) || len(cr.Blocks) != len(rowBlocks) {
@@ -97,31 +99,77 @@ func TestColumnarBlockByKey(t *testing.T) {
 	}
 }
 
-// TestColumnarIrregularRelation: two schemas under one name keep the
-// relation on the row path, and BlockByKey still answers through the
-// string fallback.
-func TestColumnarIrregularRelation(t *testing.T) {
-	d := New()
-	d.Add(NewFact(schema.Relation{Name: "R", Arity: 2, KeyLen: 1}, "a", "b"))
-	d.Add(NewFact(schema.Relation{Name: "R", Arity: 3, KeyLen: 1}, "c", "d", "e"))
-	d.Add(NewFact(schema.Relation{Name: "S", Arity: 2, KeyLen: 1}, "a", "b"))
-	c := d.Columnar()
-	if _, ok := c.Rel("R"); ok {
-		t.Fatal("mixed-schema relation R reported as regular")
+// TestSignatureConflictRejected: a relation holds one signature. Add
+// panics on a conflicting fact, ParseFacts names the line and both
+// signatures, and Validate/Apply reject the fact without building a
+// version. A relation emptied by Apply accepts a new signature.
+func TestSignatureConflictRejected(t *testing.T) {
+	r2 := schema.Relation{Name: "R", Arity: 2, KeyLen: 1}
+	r3 := schema.Relation{Name: "R", Arity: 3, KeyLen: 1}
+	d := FromFacts(NewFact(r2, "a", "b"))
+	d.Columnar() // later versions derive their views incrementally
+
+	func() {
+		defer func() {
+			err, _ := recover().(error)
+			var se *SignatureError
+			if !errors.As(err, &se) || se.Held != r2 || se.Fact.Rel != r3 {
+				t.Fatalf("Add of a conflicting fact: recovered %v, want *SignatureError", err)
+			}
+		}()
+		d.Add(NewFact(r3, "c", "d", "e"))
+	}()
+	if d.Len() != 1 {
+		t.Fatalf("rejected Add changed the database: %d facts", d.Len())
 	}
-	if cr, ok := c.Rel("S"); !ok || cr == nil {
-		t.Fatal("regular relation S not in the columnar view")
+
+	_, err := ParseFacts(nil, "R(a | b)\nR(c | d, e)\n")
+	if err == nil {
+		t.Fatal("ParseFacts accepted two signatures under R")
 	}
-	if got := c.RelNames(); len(got) != 1 || got[0] != "S" {
-		t.Fatalf("RelNames = %v, want [S]", got)
+	for _, want := range []string{"line 2", "R[3,1]", "R[2,1]"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("ParseFacts error %q does not mention %q", err, want)
+		}
 	}
-	b, ok := d.BlockByKey("R", []query.Const{"a"})
-	if !ok || len(b.Facts) != 1 {
-		t.Fatalf("string-fallback BlockByKey(R, a) = (%v, %v)", b, ok)
+
+	var bad Delta
+	bad.Insert(NewFact(r3, "c", "d", "e"))
+	if err := bad.Validate(); err != nil {
+		t.Fatalf("Validate rejected a delta that is consistent on its own: %v", err)
 	}
-	// Absent relation: decided miss either way.
-	if _, ok := c.Rel("T"); !ok {
-		t.Fatal("absent relation should be regular (nil, true)")
+	for _, delta := range []Delta{bad, {Ops: []Op{{Kind: OpDelete, Fact: NewFact(r3, "a", "b", "c")}}}} {
+		if _, err := d.Apply(delta); !errors.As(err, new(*SignatureError)) {
+			t.Errorf("Apply(%v) = %v, want *SignatureError", delta.Ops[0].Kind, err)
+		}
+	}
+	var up Delta
+	up.UpsertBlock([]Fact{NewFact(r3, "a", "b", "c")})
+	if _, err := d.Apply(up); !errors.As(err, new(*SignatureError)) {
+		t.Errorf("Apply(upsert) = %v, want *SignatureError", err)
+	}
+	var both Delta
+	both.Insert(NewFact(r2, "x", "y"))
+	both.Insert(NewFact(r3, "x", "y", "z"))
+	if err := both.Validate(); !errors.As(err, new(*SignatureError)) {
+		t.Errorf("Validate of a two-signature delta = %v, want *SignatureError", err)
+	}
+
+	var wipe Delta
+	wipe.Delete(NewFact(r2, "a", "b"))
+	empty, err := d.Apply(wipe)
+	if err != nil {
+		t.Fatal(err)
+	}
+	child, err := empty.Apply(bad)
+	if err != nil {
+		t.Fatalf("emptied relation refused a new signature: %v", err)
+	}
+	if sig, ok := child.Signature("R"); !ok || sig != r3 {
+		t.Fatalf("Signature(R) = (%v, %v), want %v", sig, ok, r3)
+	}
+	if cr := child.Columnar().Rel("R"); cr == nil || cr.Relation != r3 || cr.Rel.Rows() != 1 {
+		t.Fatalf("columnar R after re-signature = %+v", cr)
 	}
 }
 
@@ -132,7 +180,7 @@ func TestColumnarInvalidation(t *testing.T) {
 	rel := schema.Relation{Name: "R", Arity: 2, KeyLen: 1}
 	d.Add(NewFact(rel, "a", "b"))
 	c1 := d.Columnar()
-	if cr, _ := c1.Rel("R"); cr.Rel.Rows() != 1 {
+	if cr := c1.Rel("R"); cr.Rel.Rows() != 1 {
 		t.Fatalf("view has %d rows, want 1", cr.Rel.Rows())
 	}
 	d.Add(NewFact(rel, "a", "c"))
@@ -140,7 +188,7 @@ func TestColumnarInvalidation(t *testing.T) {
 	if c2 == c1 {
 		t.Fatal("Add did not invalidate the columnar view")
 	}
-	cr, _ := c2.Rel("R")
+	cr := c2.Rel("R")
 	if cr.Rel.Rows() != 2 || cr.Rel.NumBlocks() != 1 {
 		t.Fatalf("rebuilt view: rows=%d blocks=%d, want 2 rows in 1 block", cr.Rel.Rows(), cr.Rel.NumBlocks())
 	}
@@ -159,8 +207,8 @@ func TestColumnarDeterministicLayout(t *testing.T) {
 		}
 	}
 	for _, name := range c1.RelNames() {
-		r1, _ := c1.Rel(name)
-		r2, _ := c2.Rel(name)
+		r1 := c1.Rel(name)
+		r2 := c2.Rel(name)
 		for b := range r1.Blocks {
 			if r1.Blocks[b].ID != r2.Blocks[b].ID {
 				t.Fatalf("%s block %d differs: %s vs %s", name, b, r1.Blocks[b].ID, r2.Blocks[b].ID)

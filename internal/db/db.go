@@ -142,12 +142,11 @@ func sameFacts(a, b []Fact) bool {
 // sharing — Apply aliases untouched segments into the child version and
 // clones only the touched ones.
 type relSeg struct {
-	// rel is the schema of the first fact ever stored; mixed is set when
-	// a later fact carried a different schema under the same name (the
-	// inferred-signature parser can produce those), which sends the
-	// relation to the row-oriented evaluation path.
-	rel   schema.Relation
-	mixed bool
+	// rel is the relation's signature: every stored fact carries it
+	// (Add, Apply and ParseFacts reject a fact with another one). A
+	// segment whose blocks are all gone takes the signature of the next
+	// fact stored.
+	rel schema.Relation
 
 	blocks []Block
 	byID   map[string]int // block ID -> position in blocks
@@ -172,7 +171,6 @@ type relSeg struct {
 func (s *relSeg) clone() *relSeg {
 	return &relSeg{
 		rel:    s.rel,
-		mixed:  s.mixed,
 		blocks: append([]Block(nil), s.blocks...),
 		byID:   maps.Clone(s.byID),
 		cow:    true,
@@ -305,12 +303,49 @@ func FromFacts(facts ...Fact) *DB {
 	return d
 }
 
+// SignatureError reports a fact whose signature differs from the one
+// its relation already holds: a database stores one signature per
+// relation name.
+type SignatureError struct {
+	Fact Fact
+	Held schema.Relation
+}
+
+func (e *SignatureError) Error() string {
+	return fmt.Sprintf("db: fact %s has signature %s, but relation %s holds %s",
+		e.Fact, e.Fact.Rel, e.Fact.Rel.Name, e.Held)
+}
+
+// signatureConflict returns a *SignatureError when seg holds facts of a
+// signature other than f's, nil otherwise.
+func signatureConflict(seg *relSeg, f Fact) error {
+	if seg == nil || len(seg.blocks) == 0 || seg.rel == f.Rel {
+		return nil
+	}
+	return &SignatureError{Fact: f, Held: seg.rel}
+}
+
+// Signature returns the signature of the named relation's facts; ok is
+// false when the database holds no fact of it.
+func (d *DB) Signature(relName string) (schema.Relation, bool) {
+	seg := d.rels[relName]
+	if seg == nil || len(seg.blocks) == 0 {
+		return schema.Relation{}, false
+	}
+	return seg.rel, true
+}
+
 // Add inserts a fact; duplicates are ignored. It returns true if the fact
 // was new. A duplicate insert is a pure no-op: it does not invalidate the
-// memoized index or columnar view (see TestAddDuplicateKeepsCaches).
+// memoized index or columnar view (see TestAddDuplicateKeepsCaches). Add
+// panics when the relation already holds facts of another signature,
+// as NewFact does on an arity mismatch.
 func (d *DB) Add(f Fact) bool {
 	name := f.Rel.Name
 	seg := d.rels[name]
+	if err := signatureConflict(seg, f); err != nil {
+		panic(err)
+	}
 	fresh := false
 	if seg == nil {
 		seg = &relSeg{rel: f.Rel, byID: make(map[string]int)}
@@ -340,6 +375,9 @@ func (d *DB) Add(f Fact) bool {
 			seg = seg.clone()
 			d.rels[name] = seg
 		}
+		if len(seg.blocks) == 0 {
+			seg.rel = f.Rel
+		}
 		seg.byID[bid] = len(seg.blocks)
 		seg.blocks = append(seg.blocks, Block{ID: bid, Facts: []Fact{f}})
 		d.nblocks++
@@ -347,9 +385,6 @@ func (d *DB) Add(f Fact) bool {
 	if fresh {
 		d.rels[name] = seg
 		d.appendRelOrder(name)
-	}
-	if f.Rel != seg.rel {
-		seg.mixed = true
 	}
 	if seg.facts != nil {
 		seg.facts = append(seg.facts, f)

@@ -52,22 +52,38 @@ func (d *Delta) UpsertBlock(facts []Fact) {
 func (d Delta) Empty() bool { return len(d.Ops) == 0 }
 
 // Validate checks the structural well-formedness of the delta (upsert
-// blocks non-empty and key-equal) without applying it. Apply performs
-// the same checks; Validate lets a batcher reject a malformed request
-// individually before merging deltas into one commit.
+// blocks non-empty and key-equal, one signature per relation name)
+// without applying it. Apply performs the same checks and also rejects
+// facts whose signature differs from the one the database holds;
+// Validate lets a batcher reject a malformed request individually
+// before merging deltas into one commit.
 func (d Delta) Validate() error {
+	sigs := make(map[string]schema.Relation)
+	sigOf := func(f Fact) error {
+		if held, ok := sigs[f.Rel.Name]; ok && held != f.Rel {
+			return &SignatureError{Fact: f, Held: held}
+		}
+		sigs[f.Rel.Name] = f.Rel
+		return nil
+	}
 	for _, op := range d.Ops {
 		if op.Kind != OpUpsert {
+			if err := sigOf(op.Fact); err != nil {
+				return err
+			}
 			continue
 		}
 		if len(op.Block) == 0 {
 			return fmt.Errorf("db: upsert of an empty block")
 		}
 		bid := op.Block[0].BlockID()
-		for _, f := range op.Block[1:] {
+		for _, f := range op.Block {
 			if f.BlockID() != bid {
 				return fmt.Errorf("db: upsert block mixes keys %q and %q",
 					op.Block[0].String(), f.String())
+			}
+			if err := sigOf(f); err != nil {
+				return err
 			}
 		}
 	}
@@ -200,6 +216,9 @@ func (d *DB) ApplyChanges(delta Delta) (*DB, *ApplyResult, error) {
 			f := op.Fact
 			w := ws(f.Rel.Name, f.Rel)
 			seg := w.seg
+			if err := signatureConflict(seg, f); err != nil {
+				return nil, nil, err
+			}
 			bid := f.BlockID()
 			if bi, ok := seg.byID[bid]; ok {
 				blk := &seg.blocks[bi]
@@ -218,13 +237,11 @@ func (d *DB) ApplyChanges(delta Delta) (*DB, *ApplyResult, error) {
 				copy(fs, blk.Facts)
 				blk.Facts = append(fs, f)
 			} else {
+				seg.rel = f.Rel
 				seg.byID[bid] = len(seg.blocks)
 				seg.blocks = append(seg.blocks, Block{ID: bid, Facts: []Fact{f}})
 			}
 			w.touch(bid)
-			if f.Rel != seg.rel {
-				seg.mixed = true
-			}
 			st.Inserted++
 			child.nfacts++
 		case OpDelete:
@@ -233,6 +250,9 @@ func (d *DB) ApplyChanges(delta Delta) (*DB, *ApplyResult, error) {
 			if seg == nil {
 				st.Noops++
 				continue
+			}
+			if err := signatureConflict(seg, f); err != nil {
+				return nil, nil, err
 			}
 			w := ws(f.Rel.Name, f.Rel)
 			seg = w.seg
@@ -271,6 +291,9 @@ func (d *DB) ApplyChanges(delta Delta) (*DB, *ApplyResult, error) {
 			f0 := fs[0]
 			w := ws(f0.Rel.Name, f0.Rel)
 			seg := w.seg
+			if err := signatureConflict(seg, f0); err != nil {
+				return nil, nil, err
+			}
 			bid := f0.BlockID()
 			if bi, ok := seg.byID[bid]; ok {
 				blk := &seg.blocks[bi]
@@ -282,15 +305,11 @@ func (d *DB) ApplyChanges(delta Delta) (*DB, *ApplyResult, error) {
 				child.nfacts -= len(blk.Facts)
 				blk.Facts = fs
 			} else {
+				seg.rel = f0.Rel
 				seg.byID[bid] = len(seg.blocks)
 				seg.blocks = append(seg.blocks, Block{ID: bid, Facts: fs})
 			}
 			w.touch(bid)
-			for _, f := range fs {
-				if f.Rel != seg.rel {
-					seg.mixed = true
-				}
-			}
 			st.Inserted += len(fs)
 			child.nfacts += len(fs)
 			st.Upserts++

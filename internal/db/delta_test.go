@@ -391,13 +391,13 @@ func TestApplyColumnarDerive(t *testing.T) {
 	if cc.Syms != pc.Syms {
 		t.Error("derived view does not share the symbol table")
 	}
-	pS, _ := pc.Rel("S")
-	cS, _ := cc.Rel("S")
+	pS := pc.Rel("S")
+	cS := cc.Rel("S")
 	if pS != cS {
 		t.Error("untouched relation's ColRel was rebuilt, not aliased")
 	}
-	pR, _ := pc.Rel("R")
-	cR, _ := cc.Rel("R")
+	pR := pc.Rel("R")
+	cR := cc.Rel("R")
 	if pR == cR {
 		t.Error("touched relation still aliases the parent's ColRel")
 	}
@@ -437,8 +437,8 @@ func TestApplyColumnarDerive(t *testing.T) {
 // colRelContents decodes a regular relation's columnar rows back to fact
 // strings for comparison.
 func colRelContents(c *ColDB, name string) []string {
-	cr, ok := c.Rel(name)
-	if !ok || cr == nil {
+	cr := c.Rel(name)
+	if cr == nil {
 		return nil
 	}
 	var out []string
@@ -473,8 +473,7 @@ func sameStringSets(a, b []string) bool {
 type fakeProg struct{ want *ColRel }
 
 func (p *fakeProg) ValidFor(c *ColDB) bool {
-	cr, ok := c.Rel(p.want.Relation.Name)
-	return ok && cr == p.want
+	return c.Rel(p.want.Relation.Name) == p.want
 }
 
 func TestApplyProgInheritance(t *testing.T) {
@@ -483,8 +482,8 @@ func TestApplyProgInheritance(t *testing.T) {
 		NewFact(relS, "x", "y", "z"),
 	)
 	pc := d.Columnar()
-	rR, _ := pc.Rel("R")
-	rS, _ := pc.Rel("S")
+	rR := pc.Rel("R")
+	rS := pc.Rel("S")
 	pc.Progs().Store("progR", &fakeProg{want: rR})
 	pc.Progs().Store("progS", &fakeProg{want: rS})
 
@@ -596,9 +595,6 @@ func TestApplyMatchesRebuild(t *testing.T) {
 		cc := cur.Columnar()
 		cold := cur.buildColumnar()
 		for _, name := range cur.Relations() {
-			if _, reg := cc.Rel(name); !reg {
-				continue
-			}
 			if got, want := colRelContents(cc, name), colRelContents(cold, name); !sameStringSets(got, want) {
 				t.Fatalf("trial %d: columnar %s differs", trial, name)
 			}

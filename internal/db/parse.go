@@ -17,7 +17,9 @@ import (
 // lines starting with '#' are skipped. The relation's signature is taken
 // from the schema when registered there; otherwise it is inferred from the
 // bar (key | non-key). Without a bar and without a schema entry, the first
-// position is the key.
+// position is the key. A relation has one signature: a fact whose
+// signature differs from an earlier fact of the same name is an error
+// naming its line and both signatures.
 func ParseFacts(s *schema.Schema, text string) (*DB, error) {
 	d := New()
 	scanner := bufio.NewScanner(strings.NewReader(text))
@@ -30,6 +32,9 @@ func ParseFacts(s *schema.Schema, text string) (*DB, error) {
 		}
 		f, err := ParseFact(s, line)
 		if err != nil {
+			return nil, fmt.Errorf("line %d: %w", lineNo, err)
+		}
+		if err := signatureConflict(d.rels[f.Rel.Name], f); err != nil {
 			return nil, fmt.Errorf("line %d: %w", lineNo, err)
 		}
 		d.Add(f)

@@ -56,8 +56,8 @@ const (
 		"warm evaluates against a pre-built index and the memoized columnar view — the serving hot " +
 		"path, which runs the interned zero-allocation walk (allocs_per_op must be 0); cold drops " +
 		"every memoized structure per op via ResetCaches, so each op pays the index, block, and " +
-		"columnar builds. certain-row: the same warm instance decided by the row-oriented reference " +
-		"walk (CertainOverBlocks) — the columnar-vs-row comparison at equal instance sizes. " +
+		"columnar builds. The retired row-oriented walk's certain-row numbers are history in " +
+		"baseline_pre_pr. " +
 		"answers-flat/answers-sharded: certain answers of x on a large certain chain — the " +
 		"monolithic sweep vs the key-partitioned scatter-gather (per-shard columnar span sweeps " +
 		"merged by sorted key) at increasing shard counts; the pool is built and warmed outside " +
@@ -144,16 +144,6 @@ func evalSizes(quick bool) []int {
 	return []int{1000, 10000, 100000, 1000000}
 }
 
-// evalRowSizes returns the sizes of the certain-row comparison rows:
-// the row-oriented reference walk on the same warm instances, so the
-// columnar speedup is auditable from the JSON alone.
-func evalRowSizes(quick bool) []int {
-	if quick {
-		return []int{10000}
-	}
-	return []int{10000, 100000}
-}
-
 // prePRBaseline records the same workloads measured immediately before
 // the plan-compiled, index-backed evaluation landed (per-call block
 // grouping, per-residue attack-graph rebuilds, Substitute-allocated
@@ -168,7 +158,13 @@ var prePRBaseline = map[string]string{
 	// keys, map valuations).
 	"pre_columnar/certain/10k/warm":  "7.77 ms/op, 1.7 MB/op, 64.1k allocs/op",
 	"pre_columnar/certain/100k/warm": "114.8 ms/op, 15.8 MB/op, 649.5k allocs/op",
-	"measured_on":                    "Intel Xeon @ 2.10GHz, go1.x, same harness (BenchmarkCertainAcyclic*, BenchmarkCertainAnswersPool)",
+	// The row-oriented walk (map valuations, string memo keys) on the
+	// same warm falsified chain as the certain rows, last measured
+	// before that walk was deleted in favour of the one columnar FO
+	// evaluator.
+	"certain-row/10k/warm":  "7.62 ms/op, 1.74 MB/op, 64.1k allocs/op",
+	"certain-row/100k/warm": "81.92 ms/op, 15.77 MB/op, 649.5k allocs/op",
+	"measured_on":           "Intel Xeon @ 2.10GHz, go1.x, same harness (BenchmarkCertainAcyclic*, BenchmarkCertainAnswersPool)",
 }
 
 // evalFalsifiedChainDB mirrors the repository-root falsifiedChainDB
@@ -283,25 +279,6 @@ func RunEval(quick bool) (*EvalReport, error) {
 			}
 		})
 		record("certain", blocks, "cold", 0, 0, cold)
-	}
-
-	// The row-walk comparison rows: same warm instances, decided by the
-	// row-oriented reference walk over the top relation's blocks.
-	topRel := plan.Elim.Order()[0].Rel.Name
-	for _, blocks := range evalRowSizes(quick) {
-		d := evalFalsifiedChainDB(q, blocks)
-		ix := match.NewIndex(d)
-		rowBlocks := d.BlocksOf(topRel)
-		r := testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				certain, err := plan.Elim.CertainOverBlocks(ix, rowBlocks, nil)
-				if err != nil || certain {
-					b.Fatalf("row walk on falsified instance: %v, %v", certain, err)
-				}
-			}
-		})
-		record("certain-row", blocks, "warm", 0, 0, r)
 	}
 
 	answersBlocks := 1000
@@ -670,9 +647,6 @@ func ValidateEvalJSON(path string, quick bool) error {
 			missing[fmt.Sprintf("certain/%d/%s", blocks, index)] = true
 		}
 	}
-	for _, blocks := range evalRowSizes(quick) {
-		missing[fmt.Sprintf("certain-row/%d/warm", blocks)] = true
-	}
 	mutBlocks := evalMutationBlocks(quick)
 	missing[fmt.Sprintf("mutate-apply/%d/warm", mutBlocks)] = true
 	missing[fmt.Sprintf("mutate-rebuild/%d/cold", mutBlocks)] = true
@@ -706,8 +680,6 @@ func ValidateEvalJSON(path string, quick bool) error {
 				return fmt.Errorf("%s: results[%d] certain/%d/warm reports %d allocs/op; the interned hot path must not allocate (regenerate with -evaljson)",
 					path, i, res.Blocks, res.AllocsPerOp)
 			}
-		case "certain-row":
-			delete(missing, fmt.Sprintf("certain-row/%d/%s", res.Blocks, res.Index))
 		case "mutate-apply":
 			delete(missing, fmt.Sprintf("mutate-apply/%d/%s", res.Blocks, res.Index))
 			if res.Blocks == mutBlocks {

@@ -28,19 +28,30 @@ func TestCompileEliminatorRejectsCyclic(t *testing.T) {
 	}
 }
 
+// certainOf decides the compiled query over ix under the initial
+// valuation and fails the test on an evaluation error.
+func certainOf(t *testing.T, el *Eliminator, ix *match.Index, initial query.Valuation) bool {
+	t.Helper()
+	ok, err := el.CertainChecked(ix, initial, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ok
+}
+
 func TestEliminatorEmptyQuery(t *testing.T) {
 	el, err := CompileAcyclic(query.MustParse(""))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !el.Certain(match.NewIndex(factsDB(t, "R(a | b)"))) {
+	if !certainOf(t, el, match.NewIndex(factsDB(t, "R(a | b)")), nil) {
 		t.Error("empty query must be certain on every instance")
 	}
 }
 
 // TestEliminatorDifferentialVsNaive: the compiled elimination order
-// agrees with the brute-force oracle and with the per-residue recursion
-// it replaces, on random acyclic instances (fixed seed).
+// agrees with the brute-force oracle on random acyclic instances (fixed
+// seed).
 func TestEliminatorDifferentialVsNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(977))
 	for trial := 0; trial < 300; trial++ {
@@ -53,7 +64,7 @@ func TestEliminatorDifferentialVsNaive(t *testing.T) {
 		if err != nil {
 			t.Fatalf("compile %s: %v", q, err)
 		}
-		got := el.Certain(match.NewIndex(d))
+		got := certainOf(t, el, match.NewIndex(d), nil)
 		want, err := naive.Certain(q, d)
 		if err != nil {
 			t.Fatal(err)
@@ -61,9 +72,6 @@ func TestEliminatorDifferentialVsNaive(t *testing.T) {
 		if got != want {
 			t.Fatalf("eliminator=%v naive=%v\nq = %s\norder = %v\ndb:\n%s",
 				got, want, q, el.Order(), d)
-		}
-		if old := CertainAcyclic(q, d); old != want {
-			t.Fatalf("CertainAcyclic=%v naive=%v\nq = %s\ndb:\n%s", old, want, q, d)
 		}
 	}
 }
@@ -93,17 +101,17 @@ func TestCertainWithMatchesSubstitute(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := el.CertainWith(match.NewIndex(d), binding)
+		got := certainOf(t, el, match.NewIndex(d), binding)
 		want, err := naive.Certain(q.Substitute(binding), d)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got != want {
-			t.Fatalf("CertainWith=%v naive(substituted)=%v\nq = %s\nbinding = %v\ndb:\n%s",
+			t.Fatalf("CertainChecked(binding)=%v naive(substituted)=%v\nq = %s\nbinding = %v\ndb:\n%s",
 				got, want, q, binding, d)
 		}
 		if len(binding) != 1 {
-			t.Fatal("CertainWith modified the caller's valuation")
+			t.Fatal("CertainChecked modified the caller's valuation")
 		}
 	}
 }
@@ -123,13 +131,20 @@ func TestEliminatorSharedAcrossGoroutines(t *testing.T) {
 		S(c | z)
 	`)
 	ix := match.NewIndex(d)
-	done := make(chan bool, 8)
+	type result struct {
+		ok  bool
+		err error
+	}
+	done := make(chan result, 8)
 	for w := 0; w < 8; w++ {
-		go func() { done <- el.Certain(ix) }()
+		go func() {
+			ok, err := el.CertainChecked(ix, nil, nil)
+			done <- result{ok, err}
+		}()
 	}
 	for w := 0; w < 8; w++ {
-		if !<-done {
-			t.Fatal("shared eliminator returned false on a certain instance")
+		if r := <-done; r.err != nil || !r.ok {
+			t.Fatalf("shared eliminator = (%v, %v) on a certain instance, want (true, nil)", r.ok, r.err)
 		}
 	}
 }

@@ -1,9 +1,11 @@
 package rewrite
 
-// The interned evaluation path: the Lemma 10 walk over the columnar
-// view of the database (db.ColDB / colstore.Rel) instead of the
-// row-oriented []Fact blocks. Everything the row walk does with strings
-// and maps happens here on machine words:
+// The FO evaluator: the Lemma 10 walk over the columnar view of the
+// database (db.ColDB / colstore.Rel). It is the only production
+// evaluator of the FO class; naive, formula.Eval and sqlmini stay as
+// independent test references. A database holds one signature per
+// relation name, so every relation has a columnar form and the walk
+// runs on machine words throughout:
 //
 //   - constants are sym.ID words interned once per database,
 //   - a valuation is a flat []sym.ID indexed by variable slot with an
@@ -16,11 +18,13 @@ package rewrite
 // Evaluation state is cached per Eliminator (one warm state in an
 // atomic slot, overflow in a sync.Pool), so the steady-state walk does
 // not allocate at all; testing.AllocsPerRun pins this in
-// zeroalloc_test.go. Queries over irregular relations (mixed schemas
-// under one name) compile to a prog with ok=false and stay on the row
-// path.
+// zeroalloc_test.go. A query whose atom gives a relation another
+// signature than the stored one does not compile against the view: the
+// walk returns an error (core.CheckSchema reports the same mismatch
+// before any engine runs).
 
 import (
+	"fmt"
 	"sort"
 
 	"cqa/internal/db"
@@ -48,11 +52,8 @@ type ilevel struct {
 	relevant []int32
 }
 
-// iprog is an Eliminator compiled against one columnar view. ok is
-// false when some atom's relation is irregular in the view (or its
-// stored schema differs from the atom's) — the row path decides those.
+// iprog is an Eliminator compiled against one columnar view.
 type iprog struct {
-	ok     bool
 	levels []ilevel
 	names  []string // relation name per level, for ValidFor
 	maxKey int
@@ -66,12 +67,8 @@ type iprog struct {
 // relation forces a recompile. Interned constants need no check: the
 // symbol table is shared and append-only across derived views.
 func (p *iprog) ValidFor(c *db.ColDB) bool {
-	if !p.ok {
-		return false
-	}
 	for i := range p.levels {
-		cr, regular := c.Rel(p.names[i])
-		if !regular || cr != p.levels[i].rel {
+		if c.Rel(p.names[i]) != p.levels[i].rel {
 			return false
 		}
 	}
@@ -84,21 +81,28 @@ var _ db.ViewProg = (*iprog)(nil)
 // compiling and caching it on first use. The cache lives on the view
 // (its IDs are only valid there); racing compilers agree via
 // LoadOrStore.
-func (e *Eliminator) prog(c *db.ColDB) *iprog {
+func (e *Eliminator) prog(c *db.ColDB) (*iprog, error) {
 	if p, ok := c.Progs().Load(e); ok {
-		return p.(*iprog)
+		return p.(*iprog), nil
 	}
-	p, _ := c.Progs().LoadOrStore(e, e.compileInterned(c))
-	return p.(*iprog)
+	p, err := e.compileInterned(c)
+	if err != nil {
+		return nil, err
+	}
+	actual, _ := c.Progs().LoadOrStore(e, p)
+	return actual.(*iprog), nil
 }
 
-func (e *Eliminator) compileInterned(c *db.ColDB) *iprog {
-	p := &iprog{ok: true, levels: make([]ilevel, len(e.order)), names: make([]string, len(e.order))}
+// compileInterned resolves every atom's columnar relation and interns
+// the query's constants. It fails when the view stores a relation of
+// the query under another signature.
+func (e *Eliminator) compileInterned(c *db.ColDB) (*iprog, error) {
+	p := &iprog{levels: make([]ilevel, len(e.order)), names: make([]string, len(e.order))}
 	for li, a := range e.order {
-		cr, regular := c.Rel(a.Rel.Name)
-		if !regular || (cr != nil && cr.Relation != a.Rel) {
-			p.ok = false
-			return p
+		cr := c.Rel(a.Rel.Name)
+		if cr != nil && cr.Relation != a.Rel {
+			return nil, fmt.Errorf("rewrite: relation %s is stored as %s, the query uses %s",
+				a.Rel.Name, cr.Relation, a.Rel)
 		}
 		p.names[li] = a.Rel.Name
 		terms := func(ts []query.Term) []iterm {
@@ -125,7 +129,7 @@ func (e *Eliminator) compileInterned(c *db.ColDB) *iprog {
 			p.maxKey = len(lv.key)
 		}
 	}
-	return p
+	return p, nil
 }
 
 // imemoSlot is one entry of the epoch-tagged memo table; off/n locate
@@ -346,7 +350,7 @@ func (ev *ieval) undoTo(mark int) {
 	ev.undo = ev.undo[:mark]
 }
 
-// run is the interned analogue of elimEval.run: poll, memo probe,
+// run is one step of the Lemma 10 recursion: poll, memo probe,
 // evaluate, memo insert. The scratch key is clobbered by deeper levels
 // during eval, so the insert re-encodes — the bindings are restored by
 // then, producing the identical words.
@@ -366,8 +370,10 @@ func (ev *ieval) run(level int) bool {
 	}
 	ev.trMisses++
 	res := ev.eval(level)
-	// Same policy as the row walk: never memoize under a tripped
-	// checker, never past the memo budget.
+	// Never memoize under a tripped checker (the result is a truncated
+	// evaluation, not the real answer) or past the memo budget (bounded
+	// memory beats bounded time here: the walk stays correct, it just
+	// recomputes).
 	if ev.chk.Err() == nil && (ev.memoCap <= 0 || ev.memo.live < ev.memoCap) {
 		ev.memo.insert(ev.encodeKey(level), h, res)
 	}
@@ -449,77 +455,98 @@ func (ev *ieval) blockCertain(level int, b int32) bool {
 	return good
 }
 
-// certainInterned decides certainty on the columnar view. ok=false
-// means the view cannot represent the query's relations (irregular
-// data) and the caller must use the row path.
-func (e *Eliminator) certainInterned(ix *match.Index, initial query.Valuation, chk *evalctx.Checker) (res, ok bool, err error) {
+// CertainChecked decides CERTAINTY of the compiled query over the
+// indexed database, instantiated by the initial valuation (typically a
+// candidate binding of free variables; nil for none). Instantiation
+// never adds attacks (Lemma 6), so the compiled order remains valid;
+// initial is not modified. The walk polls chk once per recursion step
+// and unwinds as soon as the checker trips. A non-nil error means the evaluation was cut short (or
+// the query does not compile against the view, see compileInterned)
+// and the boolean is meaningless — callers must check the error first.
+// A nil checker enforces nothing.
+func (e *Eliminator) CertainChecked(ix *match.Index, initial query.Valuation, chk *evalctx.Checker) (bool, error) {
 	c := ix.DB.Columnar()
-	p := e.prog(c)
-	if !p.ok {
-		return false, false, nil
+	p, err := e.prog(c)
+	if err != nil {
+		return false, err
 	}
 	ev := e.acquire(c, p, chk)
 	for v, cst := range initial {
 		slot, known := e.varSlot[v]
 		if !known {
-			continue // bindings of foreign variables are inert, as in the row walk
+			continue // bindings of foreign variables are inert
 		}
 		ev.bound[slot] = true
 		ev.vals[slot] = c.Syms.Intern(string(cst))
 	}
 	sp := chk.Tracer().Begin(trace.StageEliminator)
-	res = ev.run(0)
+	res := ev.run(0)
 	sp.End()
 	ev.flush(chk)
 	e.release(ev)
 	if err := chk.Err(); err != nil {
-		return false, true, err
+		return false, err
 	}
-	return res, true, nil
+	return res, nil
 }
 
-// CertainOverSpans is the interned analogue of CertainOverBlocks: the
-// top level of the walk restricted to the given block indices of the
-// first elimination atom's relation in the columnar view (nil = every
-// block). ok=false means the view cannot decide — irregular relation,
-// or span indices that do not belong to the view — and the caller must
-// fall back to CertainOverBlocks.
-func (e *Eliminator) CertainOverSpans(ix *match.Index, spans []int32, chk *evalctx.Checker) (certain, ok bool, err error) {
+// topBlocks compiles the program for ix's columnar view and checks a
+// block list of the top relation (the first elimination atom's). It
+// returns the number of blocks to visit: len(spans), or every block of
+// the relation when spans is nil. An empty non-nil list visits none.
+func (e *Eliminator) topBlocks(ix *match.Index, spans []int32) (*db.ColDB, *iprog, int, error) {
 	c := ix.DB.Columnar()
-	p := e.prog(c)
-	if !p.ok {
-		return false, false, nil
+	p, err := e.prog(c)
+	if err != nil {
+		return nil, nil, 0, err
 	}
-	lv := &p.levels[0]
-	if lv.rel == nil {
-		if len(spans) > 0 {
-			return false, false, nil
-		}
-		return false, true, chk.Err()
+	nb := 0
+	if r := p.levels[0].rel; r != nil {
+		nb = r.Rel.NumBlocks()
 	}
-	nb := int32(lv.rel.Rel.NumBlocks())
 	for _, s := range spans {
-		if s < 0 || s >= nb {
-			return false, false, nil
+		if s < 0 || int(s) >= nb {
+			return nil, nil, 0, fmt.Errorf("rewrite: block %d out of range for %s (%d blocks)",
+				s, e.order[0].Rel.Name, nb)
 		}
+	}
+	if spans != nil {
+		return c, p, len(spans), nil
+	}
+	return c, p, nb, nil
+}
+
+// spanAt is the i-th visited block: spans[i], or i when spans is nil.
+func spanAt(spans []int32, i int) int32 {
+	if spans == nil {
+		return int32(i)
+	}
+	return spans[i]
+}
+
+// CertainOverSpans is CertainChecked with the top level of the walk
+// restricted to the given block indices of the first elimination
+// atom's relation in the columnar view (nil = every block). The Lemma
+// 10 top level is an existential over the blocks of that relation —
+// some block must pass the Lemma 9 test — so a caller that partitions
+// the relation's blocks can evaluate each part independently and OR
+// the results: the partition's union decides exactly what
+// CertainChecked decides. This is the per-shard task of the
+// scatter-gather path. An index outside the relation is an error.
+func (e *Eliminator) CertainOverSpans(ix *match.Index, spans []int32, chk *evalctx.Checker) (bool, error) {
+	c, p, n, err := e.topBlocks(ix, spans)
+	if err != nil {
+		return false, err
 	}
 	ev := e.acquire(c, p, chk)
 	sp := chk.Tracer().Begin(trace.StageEliminator)
 	res := false
-	n := int(nb)
-	if spans != nil {
-		n = len(spans)
-	}
 	for i := 0; i < n; i++ {
-		b := int32(i)
-		if spans != nil {
-			b = spans[i]
-		}
 		if ev.chk.Step() != nil {
 			break
 		}
 		ev.trSteps++
-		if ev.blockCertain(0, b) {
+		if ev.blockCertain(0, spanAt(spans, i)) {
 			res = true
 			break
 		}
@@ -528,71 +555,50 @@ func (e *Eliminator) CertainOverSpans(ix *match.Index, spans []int32, chk *evalc
 	ev.flush(chk)
 	e.release(ev)
 	if err := chk.Err(); err != nil {
-		return false, true, err
+		return false, err
 	}
-	return res, true, nil
+	return res, nil
 }
 
-// SweepSpans is the interned certain-answers block sweep (see
-// SweepableFree): for each listed block of the top relation (nil =
-// every block) the candidate binding is read off the block key, the
-// block runs the Lemma 9 test under it, and the passing bindings are
-// returned in span order. ok=false sends the caller to SweepBlocks.
-func (e *Eliminator) SweepSpans(ix *match.Index, spans []int32, free []query.Var, chk *evalctx.Checker) (out []query.Valuation, ok bool, err error) {
-	c := ix.DB.Columnar()
-	p := e.prog(c)
-	if !p.ok {
-		return nil, false, nil
+// SweepSpans is the certain-answers block sweep (see SweepableFree):
+// for each listed block of the top relation (nil = every block) the
+// candidate binding is read off the block key, the block runs the
+// Lemma 9 test under it, and the passing bindings are returned in span
+// order. The memo table is shared across the whole sweep. Free
+// variables that do not all read off the top atom's key are an error.
+func (e *Eliminator) SweepSpans(ix *match.Index, spans []int32, free []query.Var, chk *evalctx.Checker) ([]query.Valuation, error) {
+	c, p, n, err := e.topBlocks(ix, spans)
+	if err != nil {
+		return nil, err
 	}
 	lv := &p.levels[0]
-	if lv.rel == nil {
-		if len(spans) > 0 {
-			return nil, false, nil
-		}
-		return nil, true, chk.Err()
-	}
-	r := lv.rel.Rel
-	nb := int32(r.NumBlocks())
-	for _, s := range spans {
-		if s < 0 || s >= nb {
-			return nil, false, nil
-		}
-	}
-	// Column position of each free variable in the top atom's key
-	// (SweepableFree guarantees one exists).
+	// Column position of each free variable in the top atom's key.
 	freeCol := make([]int, len(free))
 	for j, v := range free {
-		slot, known := e.varSlot[v]
-		if !known {
-			return nil, false, nil
-		}
 		freeCol[j] = -1
-		for i, t := range lv.key {
-			if t.slot == slot {
-				freeCol[j] = i
-				break
+		if slot, known := e.varSlot[v]; known {
+			for i, t := range lv.key {
+				if t.slot == slot {
+					freeCol[j] = i
+					break
+				}
 			}
 		}
 		if freeCol[j] < 0 {
-			return nil, false, nil
+			return nil, fmt.Errorf("rewrite: free variable %s is not a key variable of %s", v, e.order[0])
 		}
 	}
 	ev := e.acquire(c, p, chk)
 	sp := chk.Tracer().Begin(trace.StageEliminator)
-	n := int(nb)
-	if spans != nil {
-		n = len(spans)
-	}
+	var out []query.Valuation
 	for i := 0; i < n; i++ {
-		b := int32(i)
-		if spans != nil {
-			b = spans[i]
-		}
 		if ev.chk.Step() != nil {
 			break
 		}
 		ev.trSteps++
+		b := spanAt(spans, i)
 		if ev.blockCertain(0, b) && ev.chk.Err() == nil {
+			r := lv.rel.Rel
 			lo, _ := r.Span(b)
 			val := make(query.Valuation, len(free))
 			for j, v := range free {
@@ -605,9 +611,9 @@ func (e *Eliminator) SweepSpans(ix *match.Index, spans []int32, free []query.Var
 	ev.flush(chk)
 	e.release(ev)
 	if err := chk.Err(); err != nil {
-		return nil, true, err
+		return nil, err
 	}
-	return out, true, nil
+	return out, nil
 }
 
 // SweepSpanBits is the zero-allocation batched answers kernel: it
@@ -615,51 +621,28 @@ func (e *Eliminator) SweepSpans(ix *match.Index, spans []int32, free []query.Var
 // (nil = every block of the columnar view) and writes the verdicts into
 // out, which must have room for one entry per swept block. Candidate
 // materialization is the caller's concern, so a warm kernel performs no
-// allocation at all. ok=false means the columnar view cannot decide and
-// the caller must use SweepBlocks.
-func (e *Eliminator) SweepSpanBits(ix *match.Index, spans []int32, out []bool, chk *evalctx.Checker) (ok bool, err error) {
-	c := ix.DB.Columnar()
-	p := e.prog(c)
-	if !p.ok {
-		return false, nil
-	}
-	lv := &p.levels[0]
-	if lv.rel == nil {
-		if len(spans) > 0 {
-			return false, nil
-		}
-		return true, chk.Err()
-	}
-	nb := int32(lv.rel.Rel.NumBlocks())
-	for _, s := range spans {
-		if s < 0 || s >= nb {
-			return false, nil
-		}
-	}
-	n := int(nb)
-	if spans != nil {
-		n = len(spans)
+// allocation at all.
+func (e *Eliminator) SweepSpanBits(ix *match.Index, spans []int32, out []bool, chk *evalctx.Checker) error {
+	c, p, n, err := e.topBlocks(ix, spans)
+	if err != nil {
+		return err
 	}
 	if len(out) < n {
-		return false, nil
+		return fmt.Errorf("rewrite: verdict buffer holds %d entries, sweep visits %d blocks", len(out), n)
 	}
 	ev := e.acquire(c, p, chk)
 	sp := chk.Tracer().Begin(trace.StageEliminator)
 	for i := 0; i < n; i++ {
-		b := int32(i)
-		if spans != nil {
-			b = spans[i]
-		}
 		if ev.chk.Step() != nil {
 			break
 		}
 		ev.trSteps++
-		out[i] = ev.blockCertain(0, b)
+		out[i] = ev.blockCertain(0, spanAt(spans, i))
 	}
 	sp.End()
 	ev.flush(chk)
 	e.release(ev)
-	return true, chk.Err()
+	return chk.Err()
 }
 
 // SortValuationsByKey sorts answer bindings into the canonical

@@ -8,131 +8,19 @@
 package rewrite
 
 import (
-	"cqa/internal/attack"
 	"cqa/internal/db"
 	"cqa/internal/match"
 	"cqa/internal/query"
 )
 
-// Certain decides CERTAINTY(q) for queries whose attack graph is acyclic.
-// It returns an error when the attack graph has a cycle (use the ptime or
-// conp engines there).
+// Certain decides CERTAINTY(q) for queries whose attack graph is acyclic:
+// compile the elimination order, then walk it over d. It returns an
+// error when the attack graph has a cycle (use the ptime or conp engines
+// there) or when d stores a relation of q under another signature.
 func Certain(q query.Query, d *db.DB) (bool, error) {
 	el, err := CompileEliminator(q)
 	if err != nil {
 		return false, err
 	}
-	return el.Certain(match.NewIndex(d)), nil
-}
-
-// CertainAcyclic runs the Lemma 10 recursion for a query whose attack
-// graph is already known to be acyclic (for example from a cached
-// classification), skipping the cycle check that Certain performs. The
-// elimination order is compiled once from the query pattern and then
-// walked with valuations — no attack graph is built and no residue query
-// is allocated on the data side. Callers that evaluate the same query
-// against many databases should CompileAcyclic once and reuse the
-// Eliminator. The result is meaningless on cyclic queries.
-func CertainAcyclic(q query.Query, d *db.DB) bool {
-	el, err := CompileAcyclic(q)
-	if err != nil {
-		// Defensive: on input that is not actually acyclic the compiled
-		// order may not exist; fall back to the per-node recursion, which
-		// reproduces the seed behavior on such misuse.
-		e := &evaluator{
-			ix:   match.NewIndex(d),
-			memo: make(map[string]bool),
-		}
-		return e.certain(q)
-	}
-	return el.Certain(match.NewIndex(d))
-}
-
-type evaluator struct {
-	ix   *match.Index
-	memo map[string]bool
-}
-
-// certain implements the recursion from the proof of Lemma 10. The query
-// shrinks by one atom per level and is progressively instantiated, so
-// Lemma 6 keeps the attack graph acyclic throughout.
-func (e *evaluator) certain(q query.Query) bool {
-	if q.Empty() {
-		return true
-	}
-	key := q.Canonical()
-	if v, ok := e.memo[key]; ok {
-		return v
-	}
-	res := e.certainUncached(q)
-	e.memo[key] = res
-	return res
-}
-
-func (e *evaluator) certainUncached(q query.Query) bool {
-	g, err := attack.BuildGraph(q)
-	if err != nil {
-		return false
-	}
-	unattacked := g.Unattacked()
-	if len(unattacked) == 0 {
-		// Cannot happen for acyclic attack graphs.
-		return false
-	}
-	f := q.Atoms[unattacked[0]]
-	rest := q.Remove(f)
-
-	// Lemma 9: q is certain iff some R-block b exists such that the key
-	// pattern of F matches b's key and, for every fact of b, the non-key
-	// pattern matches and the instantiated residue query is certain.
-	for _, b := range e.ix.DB.BlocksOf(f.Rel.Name) {
-		if len(b.Facts) == 0 {
-			continue
-		}
-		theta := query.Valuation{}
-		if !unifyArgs(f.KeyArgs(), b.Facts[0].Key(), theta) {
-			continue
-		}
-		allGood := true
-		for _, fact := range b.Facts {
-			thetaPlus := theta.Clone()
-			if !unifyArgs(f.NonKeyArgs(), fact.NonKey(), thetaPlus) {
-				allGood = false
-				break
-			}
-			if !e.certain(rest.Substitute(thetaPlus)) {
-				allGood = false
-				break
-			}
-		}
-		if allGood {
-			return true
-		}
-	}
-	return false
-}
-
-// unifyArgs extends val so that the terms map onto the constants; it
-// reports failure on constant mismatches or inconsistent repeated
-// variables. val is extended in place (only on success paths for the
-// bindings made so far; callers clone when needed).
-func unifyArgs(terms []query.Term, consts []query.Const, val query.Valuation) bool {
-	for i, t := range terms {
-		c := consts[i]
-		if t.IsConst() {
-			if t.Const() != c {
-				return false
-			}
-			continue
-		}
-		v := t.Var()
-		if bound, ok := val[v]; ok {
-			if bound != c {
-				return false
-			}
-			continue
-		}
-		val[v] = c
-	}
-	return true
+	return el.CertainChecked(match.NewIndex(d), nil, nil)
 }

@@ -35,9 +35,9 @@ func TestWarmCertainZeroAlloc(t *testing.T) {
 		S(b | u)
 	`)
 	ix := match.NewIndex(d)
-	el.Certain(ix) // warm: build columnar view, prog, eval state
-	runtime.GC()   // the cache must survive a collection (strong ref, not sync.Pool)
-	if allocs := testing.AllocsPerRun(500, func() { el.Certain(ix) }); allocs != 0 {
+	certainOf(t, el, ix, nil) // warm: build columnar view, prog, eval state
+	runtime.GC()              // the cache must survive a collection (strong ref, not sync.Pool)
+	if allocs := testing.AllocsPerRun(500, func() { el.CertainChecked(ix, nil, nil) }); allocs != 0 {
 		t.Fatalf("warm FO Certain allocates %.1f/op, want 0", allocs)
 	}
 }
@@ -60,13 +60,13 @@ func TestSweepSpanBitsZeroAlloc(t *testing.T) {
 		S(c | t)
 	`)
 	ix := match.NewIndex(d)
-	cr, ok := d.Columnar().Rel("R")
-	if !ok || cr == nil {
+	cr := d.Columnar().Rel("R")
+	if cr == nil {
 		t.Fatal("fixture relation R missing from columnar view")
 	}
 	bits := make([]bool, cr.Rel.NumBlocks())
-	if ok, err := el.SweepSpanBits(ix, nil, bits, nil); !ok || err != nil {
-		t.Fatalf("SweepSpanBits = (%v, %v), want decided", ok, err)
+	if err := el.SweepSpanBits(ix, nil, bits, nil); err != nil {
+		t.Fatal(err)
 	}
 	runtime.GC()
 	allocs := testing.AllocsPerRun(500, func() { el.SweepSpanBits(ix, nil, bits, nil) })

@@ -63,17 +63,13 @@ func (s *Server) shardEvalError(w http.ResponseWriter, err error) {
 
 // resolveClusterRef validates a routed request's database against the
 // local replica: the routing instance holds the data too (uploads are
-// replicated), so existence and schema defects are diagnosed here with
-// the same 404/400 semantics as local evaluation, without building any
-// local evaluation index.
+// replicated), so a missing database is the same 404 as in local
+// evaluation, without building any local evaluation index. A schema
+// mismatch is diagnosed by the nodes (schema_mismatch, a 400).
 func (s *Server) resolveClusterRef(w http.ResponseWriter, req certainRequest, plan *core.Plan) (*dbRef, bool) {
 	snap, ok := s.store.Get(req.DB)
 	if !ok {
 		httpError(w, http.StatusNotFound, "unknown database %q", req.DB)
-		return nil, false
-	}
-	if err := checkSchema(plan.Query, snap.DB); err != nil {
-		httpError(w, http.StatusBadRequest, "database %q: %v", req.DB, err)
 		return nil, false
 	}
 	return &dbRef{Name: snap.Name, Version: snap.Version}, true

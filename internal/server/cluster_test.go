@@ -251,3 +251,24 @@ func TestWALMetricsGauges(t *testing.T) {
 		t.Error("WAL gauges exposed without a journal attached")
 	}
 }
+
+// TestClusterRoutedSchemaMismatchHTTP: a routed query that gives a
+// stored relation another signature is the same 400 (schema_mismatch)
+// as in local evaluation; the nodes diagnose it.
+func TestClusterRoutedSchemaMismatchHTTP(t *testing.T) {
+	_, ts := newShardNode(t)
+	front := New(Config{CacheSize: 64, MaxWorkers: 8, ClusterNodes: []string{ts.URL}, ClusterShards: 3})
+	if _, err := front.Store().PutFacts("corpus", clusterTestDB); err != nil {
+		t.Fatal(err)
+	}
+	h := front.Handler()
+	for _, req := range []struct{ path, body string }{
+		{"/v1/certain", `{"query": "R(x | y, w), S(y | z)", "db": "corpus"}`},
+		{"/v1/answers", `{"query": "R(x | y, w), S(y | z)", "db": "corpus", "free": ["x"]}`},
+	} {
+		rec := do(t, h, "POST", req.path, req.body, nil)
+		if rec.Code != 400 || !strings.Contains(rec.Body.String(), "schema_mismatch") || !strings.Contains(rec.Body.String(), "stored signature") {
+			t.Errorf("routed %s: %d %s", req.path, rec.Code, rec.Body.String())
+		}
+	}
+}

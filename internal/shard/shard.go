@@ -103,20 +103,16 @@ type View struct {
 	s *shardState
 }
 
-// BlocksOf returns the shard-owned blocks of the named relation, in the
-// snapshot's first-seen order. The slice is shared; do not modify.
-func (v *View) BlocksOf(relName string) []db.Block {
-	return v.s.blocks[relName]
-}
-
-// SpansOf returns the shard-owned columnar block indices of the named
-// relation — the interned form of BlocksOf, valid against the
-// snapshot's columnar view. ok is false when the relation is irregular
-// there (or the snapshot has no facts for it), in which case the caller
-// must use BlocksOf. The slice is shared; do not modify.
-func (v *View) SpansOf(relName string) ([]int32, bool) {
-	sp, ok := v.s.spans[relName]
-	return sp, ok
+// SpansOf returns the shard-owned block indices of the named relation,
+// valid against the snapshot's columnar view. The slice is never nil —
+// a shard that owns no block of the relation (or a relation without
+// facts) gets an empty list, which sweeps nothing. Shared; do not
+// modify.
+func (v *View) SpansOf(relName string) []int32 {
+	if sp, ok := v.s.spans[relName]; ok {
+		return sp
+	}
+	return []int32{}
 }
 
 // NumBlocks returns the number of blocks this shard owns.

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -122,7 +123,9 @@ T(z | 9)
 			}
 			count := 0
 			for _, rel := range d.Relations() {
-				for _, b := range v.BlocksOf(rel) {
+				blocks := d.Columnar().Rel(rel).Blocks
+				for _, bi := range v.SpansOf(rel) {
+					b := blocks[bi]
 					if owner, dup := seen[b.ID]; dup {
 						t.Errorf("block %q on shards %d and %d", b.ID, owner, id)
 					}
@@ -138,6 +141,9 @@ T(z | 9)
 			}
 			if count != v.NumBlocks() {
 				t.Errorf("shard %d: NumBlocks() = %d, walked %d", id, v.NumBlocks(), count)
+			}
+			if sp := v.SpansOf("Absent"); sp == nil || len(sp) != 0 {
+				t.Errorf("shard %d: SpansOf(absent relation) = %v, want empty non-nil", id, sp)
 			}
 			return count, nil
 		})
@@ -164,6 +170,28 @@ func TestPoolCloseInline(t *testing.T) {
 	})
 	if err != nil || got != "inline" {
 		t.Fatalf("Do after Close = (%q, %v), want (inline, nil)", got, err)
+	}
+}
+
+// TestDoTaskPanic: a task that panics on a shard worker returns an error
+// to its caller, and the worker keeps serving later tasks.
+func TestDoTaskPanic(t *testing.T) {
+	d := testDB(t, "R(a | 1)")
+	p := NewPool(d, 1, PoolOptions{})
+	defer p.Close()
+	waitBuilt(t, p)
+
+	_, err := Do(context.Background(), p, 0, nil, func(v *View, chk *evalctx.Checker) (bool, error) {
+		panic("boom")
+	})
+	if err == nil || !strings.Contains(err.Error(), "boom") {
+		t.Fatalf("panicking task: err = %v, want the panic as an error", err)
+	}
+	got, err := Do(context.Background(), p, 0, nil, func(v *View, chk *evalctx.Checker) (bool, error) {
+		return true, nil
+	})
+	if err != nil || !got {
+		t.Fatalf("task after a panic = (%v, %v), want (true, nil)", got, err)
 	}
 }
 

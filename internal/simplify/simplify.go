@@ -121,6 +121,7 @@ func ElimPatterns(q query.Query) (Step, bool) {
 	var drops []drop
 	newAtoms := make([]query.Atom, 0, q.Len())
 	changed := false
+	s := q.Schema()
 	for _, a := range q.Atoms {
 		keep := keptPositions(a)
 		if len(keep) == len(a.Args) {
@@ -145,11 +146,12 @@ func ElimPatterns(q query.Query) (Step, bool) {
 			newKeyLen = 1
 		}
 		rel := schema.Relation{
-			Name:   a.Rel.Name + "_p",
+			Name:   s.FreshName(a.Rel.Name + "_p"),
 			Arity:  len(keep),
 			KeyLen: newKeyLen,
 			Mode:   a.Rel.Mode,
 		}
+		s.MustAdd(rel)
 		drops = append(drops, drop{rel: a.Rel.Name, keep: keep, newRel: rel, original: a.Rel})
 		newAtoms = append(newAtoms, query.Atom{Rel: rel, Args: newArgs})
 	}
@@ -236,6 +238,12 @@ func PackCompositeKeys(q query.Query) (Step, bool, error) {
 	newAtoms := make([]query.Atom, 0, q.Len())
 	used := q.Vars()
 	changed := false
+	s := q.Schema()
+	fresh := func(rel schema.Relation) schema.Relation {
+		rel.Name = s.FreshName(rel.Name)
+		s.MustAdd(rel)
+		return rel
+	}
 	for _, a := range q.Atoms {
 		if a.Rel.Mode == schema.ModeC || a.Rel.SimpleKey() {
 			newAtoms = append(newAtoms, a)
@@ -256,9 +264,9 @@ func PackCompositeKeys(q query.Query) (Step, bool, error) {
 		}
 		used.Add(u)
 		k := a.Rel.KeyLen
-		newRel := schema.Relation{Name: a.Rel.Name + "_k", Arity: a.Rel.Arity + 1, KeyLen: 1, Mode: schema.ModeI}
-		encRel := schema.Relation{Name: a.Rel.Name + "_enc", Arity: k + 1, KeyLen: k, Mode: schema.ModeC}
-		decRel := schema.Relation{Name: a.Rel.Name + "_dec", Arity: k + 1, KeyLen: 1, Mode: schema.ModeC}
+		newRel := fresh(schema.Relation{Name: a.Rel.Name + "_k", Arity: a.Rel.Arity + 1, KeyLen: 1, Mode: schema.ModeI})
+		encRel := fresh(schema.Relation{Name: a.Rel.Name + "_enc", Arity: k + 1, KeyLen: k, Mode: schema.ModeC})
+		decRel := fresh(schema.Relation{Name: a.Rel.Name + "_dec", Arity: k + 1, KeyLen: 1, Mode: schema.ModeC})
 		packs[a.Rel.Name] = pack{newRel: newRel, encRel: encRel, decRel: decRel, k: k}
 
 		mainArgs := append([]query.Term{query.V(u)}, a.Args...)
