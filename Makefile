@@ -18,19 +18,13 @@ test-short:
 race:
 	$(GO) test -race ./...
 
-# Tier-1 gate: build + full tests, a gofmt check of every tracked Go
-# file, vet (plus staticcheck when it is on PATH — it is not vendored,
-# so its absence only prints a notice),
-# race-enabled tests for the concurrent packages (server, plan cache,
-# db store, core worker pool, db index, trace ring), the seeded
-# differential fuzz corpus, the coverage floors, and a one-iteration
-# smoke run of the evaluation benchmarks plus the BENCH_eval.json
-# freshness gate.
-check: build test bench-smoke fuzz-smoke cover chaos-net
-	@unformatted=$$(gofmt -l $$(git ls-files '*.go')); \
-	if [ -n "$$unformatted" ]; then echo "gofmt: these files need formatting:"; echo "$$unformatted"; exit 1; fi
-	$(GO) vet ./...
-	@if command -v staticcheck >/dev/null 2>&1; then staticcheck ./...; else echo "staticcheck not installed; skipping"; fi
+# Tier-1 gate: build + full tests, the vet target (gofmt, vet,
+# staticcheck), race-enabled tests for the concurrent packages (server,
+# plan cache, db store, core worker pool, db index, trace ring), the
+# seeded differential fuzz corpus, the coverage floors, and a
+# one-iteration smoke run of the evaluation benchmarks plus the
+# BENCH_eval.json freshness gate.
+check: build vet test bench-smoke fuzz-smoke cover chaos-net
 	$(GO) test -race ./internal/server ./internal/plancache ./internal/store ./internal/core ./internal/db ./internal/rewrite ./internal/trace ./internal/shard ./internal/sym ./internal/colstore ./internal/counting
 
 # Chaos gate: the fault-injection, cancellation, deadline, budget,
@@ -81,9 +75,14 @@ fuzz:
 fuzz-smoke:
 	$(GO) test -run 'TestDifferentialSeeded|TestCountingDifferential|FuzzDifferential|FuzzCounting' ./internal/difftest/
 
+# Static gate: fails on any tracked Go file gofmt would change, then
+# runs vet, plus staticcheck when it is on PATH (it is not vendored, so
+# its absence only prints a notice).
 vet:
+	@unformatted=$$(gofmt -l $$(git ls-files '*.go')); \
+	if [ -n "$$unformatted" ]; then echo "gofmt: these files need formatting:"; echo "$$unformatted"; exit 1; fi
 	$(GO) vet ./...
-	gofmt -l .
+	@if command -v staticcheck >/dev/null 2>&1; then staticcheck ./...; else echo "staticcheck not installed; skipping"; fi
 
 # Coverage with per-package floors on the packages this repo's
 # correctness leans on hardest: the trace layer (observability must not

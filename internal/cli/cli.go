@@ -9,7 +9,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math/rand"
 	"os"
 	"sort"
 	"strings"
@@ -150,12 +149,11 @@ func RunCertain(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	answers := fs.String("answers", "", "comma-separated free variables: report certain answers")
 	possible := fs.Bool("possible", false, "also report POSSIBILITY(q) (true in some repair)")
 	count := fs.Bool("count", false, "also report the number of satisfying repairs (exact, or an anytime estimate on oversized components)")
-	fraction := fs.Int("fraction", 0, "estimate the satisfying-repair fraction with N samples")
 	showTrace := fs.Bool("trace", false, "print the Theorem 4 pipeline trace (ptime engine)")
 	showStages := fs.Bool("stages", false, "print the per-stage duration/counter breakdown after evaluation")
 	timeout := fs.Duration("timeout", 0, "wall-clock evaluation deadline (0 = none)")
 	maxSteps := fs.Int64("max-steps", 0, "engine step budget (0 = unlimited)")
-	approx := fs.Bool("approx", false, "degrade a budget-exhausted coNP evaluation to repair sampling")
+	approx := fs.Bool("approx", false, "degrade a budget-exhausted coNP evaluation to repair counting")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -247,7 +245,7 @@ func RunCertain(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		case errors.Is(err, context.DeadlineExceeded):
 			fmt.Fprintf(stderr, "cqa-certain: evaluation deadline of %s exceeded\n", *timeout)
 		case errors.Is(err, evalctx.ErrBudgetExceeded):
-			fmt.Fprintf(stderr, "cqa-certain: step budget of %d exhausted (use -approx to degrade to sampling)\n", *maxSteps)
+			fmt.Fprintf(stderr, "cqa-certain: step budget of %d exhausted (use -approx to degrade to repair counting)\n", *maxSteps)
 		default:
 			fmt.Fprintln(stderr, "cqa-certain:", err)
 		}
@@ -257,7 +255,7 @@ func RunCertain(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stdout, "engine:  %s\n", res.Engine)
 	fmt.Fprintf(stdout, "certain: %v\n", res.Certain)
 	if res.Approximate {
-		fmt.Fprintf(stdout, "approximate: true (sampled satisfying fraction %.4f)\n", res.Fraction)
+		fmt.Fprintf(stdout, "approximate: true (satisfying fraction ~%.4f ±%.4f)\n", res.Fraction, res.Confidence)
 	}
 	printStages(stdout, opts.Tracer)
 	if *possible {
@@ -279,14 +277,6 @@ func RunCertain(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		default:
 			fmt.Fprintf(stdout, "satisfying repairs: ~%.4f of %v (±%.4f, %d of %d components sampled)\n",
 				cres.Fraction, cres.Total, cres.Confidence, cres.Sampled, cres.Components)
-		}
-	}
-	if *fraction > 0 {
-		est, err := core.CertainFraction(q, d, *fraction, rand.New(rand.NewSource(1)))
-		if err != nil {
-			fmt.Fprintln(stderr, "cqa-certain: fraction:", err)
-		} else {
-			fmt.Fprintf(stdout, "estimated satisfying fraction: %.4f (%d samples)\n", est, *fraction)
 		}
 	}
 	if !res.Certain && *showRepair {

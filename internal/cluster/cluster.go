@@ -109,7 +109,7 @@ type EvalRequest struct {
 	// hedges cannot multiply what one request may spend. <= 0 is
 	// unlimited.
 	MaxSteps int64 `json:"maxSteps,omitempty"`
-	// Approximate permits the coNP engine's sampling degradation.
+	// Approximate permits the coNP engine's counting degradation.
 	Approximate bool `json:"approximate,omitempty"`
 	Samples     int  `json:"samples,omitempty"`
 }
@@ -121,10 +121,12 @@ type EvalResponse struct {
 	// Answers are the shard's certain answers (KindSweep / KindCheck),
 	// each a free-variable binding.
 	Answers []map[string]string `json:"answers,omitempty"`
-	// Approximate / Fraction report a KindSingle coNP evaluation that
-	// degraded to repair sampling on the node.
+	// Approximate / Fraction / Confidence report a KindSingle coNP
+	// evaluation that degraded to repair counting on the node (see
+	// core.Result).
 	Approximate bool    `json:"approximate,omitempty"`
 	Fraction    float64 `json:"fraction,omitempty"`
+	Confidence  float64 `json:"confidence,omitempty"`
 	// Steps is the engine work the node spent on this request; the
 	// router charges it against the shared request budget.
 	Steps int64 `json:"steps"`

@@ -75,6 +75,7 @@ func Exec(ctx context.Context, cache *plancache.Cache, st *store.Store, req *Eva
 		resp.Certain = res.Certain
 		resp.Approximate = res.Approximate
 		resp.Fraction = res.Fraction
+		resp.Confidence = res.Confidence
 	case KindSweep:
 		free, ferr := freeVars(plan, req.Free)
 		if ferr != nil {

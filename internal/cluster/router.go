@@ -251,6 +251,7 @@ func (r *Router) Certain(ctx context.Context, plan *core.Plan, dbName string, op
 		Engine:      engine,
 		Approximate: resp.Approximate,
 		Fraction:    resp.Fraction,
+		Confidence:  resp.Confidence,
 	}, 0, nil
 }
 
@@ -406,7 +407,13 @@ func (r *Router) do(ctx context.Context, chk *evalctx.Checker, req EvalRequest) 
 			}
 			backoff *= 2
 		}
-		if err := chk.Check(); err != nil {
+		// Dispatch is not engine work: read the sticky error and the
+		// context without charging a step, so the node is granted the
+		// whole remaining budget.
+		if err := chk.Err(); err != nil {
+			return nil, err
+		}
+		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		if rem, ok := chk.Remaining(); ok {

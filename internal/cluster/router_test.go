@@ -323,7 +323,7 @@ func TestRouterBudgetSharedAcrossCluster(t *testing.T) {
 	if err != nil {
 		t.Fatalf("degraded cluster evaluation failed: %v", err)
 	}
-	if partial != 0 || !res.Approximate {
+	if partial != 0 || !res.Approximate || res.Confidence <= 0 {
 		t.Fatalf("expected the node-side sampling degradation, got %+v (partial %d)", res, partial)
 	}
 }

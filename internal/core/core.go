@@ -133,11 +133,6 @@ func ParseEngine(s string) (Engine, error) {
 	return EngineAuto, fmt.Errorf("core: unknown engine %q", s)
 }
 
-// DefaultSamples is the sampling budget used when a budget-exhausted
-// coNP evaluation degrades to CertainFraction and Options.Samples is
-// unset.
-const DefaultSamples = 200
-
 // Options configure Certain.
 type Options struct {
 	// Engine forces a specific engine; EngineAuto selects by class.
@@ -156,11 +151,11 @@ type Options struct {
 	// Exhaustion is silent: engines keep computing without caching.
 	MemoCap int
 	// Approximate degrades a budget-exhausted coNP-engine evaluation to
-	// CertainFraction sampling instead of failing: the Result then
-	// carries Approximate=true and the estimated satisfying fraction.
+	// repair counting (counting.Count) instead of failing, and lets
+	// Count estimate oversized components instead of refusing them.
 	Approximate bool
-	// Samples is the sampling budget of the degraded path; <= 0 selects
-	// DefaultSamples.
+	// Samples is the Monte Carlo draw count per estimated counting
+	// component; <= 0 selects counting.DefaultSamples.
 	Samples int
 	// Tracer, when non-nil, records a per-stage breakdown of the
 	// evaluation (durations plus engine effort counters); it rides into
@@ -186,12 +181,19 @@ type Result struct {
 	Certain bool
 	Class   Class
 	Engine  Engine // engine that produced the answer
-	// Approximate marks a degraded answer: the exact evaluation ran out
-	// of its step budget and Certain was estimated by repair sampling
-	// (Certain is then "every sampled repair satisfied q", and Fraction
-	// is the sampled satisfying fraction).
+	// Approximate marks a verdict that is not proven. It arises two
+	// ways. A budget-exhausted coNP search degraded to repair counting,
+	// and some component had to be sampled: Certain is then false only
+	// on a witnessed falsifying repair. Or a cluster scatter lost shards
+	// and concluded false from the survivors (partial-shards).
 	Approximate bool
-	Fraction    float64 // meaningful only when Approximate
+	// Fraction has one meaning per degradation. After the counting
+	// degrade it is the satisfying-repair fraction, exact or estimated;
+	// on partial-shards it is the share of shards that answered.
+	Fraction float64
+	// Confidence is the 95% half-width of an estimated repair Fraction;
+	// 0 when the count was exact or on partial-shards.
+	Confidence float64
 }
 
 // SchemaError reports a relation that the database stores under

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/big"
 	"math/rand"
 	"testing"
@@ -118,5 +119,42 @@ func TestCountCtxApproximate(t *testing.T) {
 	}
 	if !res.Exact || res.Satisfying.Cmp(res.Total) != 0 || res.Fraction != 1 {
 		t.Errorf("zero-falsifier short circuit: exact=%v sat=%v total=%v", res.Exact, res.Satisfying, res.Total)
+	}
+}
+
+// TestDegradedFractionAgainstExactCount: a budget-exhausted coNP
+// evaluation degrades to the repair counter, which enumerates these small
+// instances exactly — so the degraded verdict is exact, its Fraction is
+// the oracle's satisfying fraction, and Certain matches the oracle.
+func TestDegradedFractionAgainstExactCount(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	q := query.MustParse("R(x | y), S(y | z)")
+	plan, err := Compile(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := Options{Engine: EngineCoNP, MaxSteps: 1, Approximate: true}
+	for trial := 0; trial < 20; trial++ {
+		d := workload.RandomDB(rng, q, workload.DefaultDBParams())
+		if d.NumRepairs() > 1<<10 {
+			continue
+		}
+		sat, total, err := naive.CountSatisfyingRepairs(q, d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := plan.Certain(d, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Approximate || res.Confidence != 0 {
+			t.Fatalf("small instance answered by estimate: %+v", res)
+		}
+		if exact := float64(sat) / float64(total); math.Abs(res.Fraction-exact) > 1e-9 {
+			t.Errorf("degraded fraction %.4f vs exact %.4f", res.Fraction, exact)
+		}
+		if res.Certain != (sat == total) {
+			t.Errorf("degraded certain = %v, oracle %d of %d repairs satisfy", res.Certain, sat, total)
+		}
 	}
 }

@@ -4,10 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"sync"
 
 	"cqa/internal/conp"
+	"cqa/internal/counting"
 	"cqa/internal/db"
 	"cqa/internal/evalctx"
 	"cqa/internal/match"
@@ -109,8 +109,9 @@ func (p *Plan) CertainIndexed(ix *match.Index, opts Options) (Result, error) {
 // budgets of opts: the engines poll cooperatively and return ctx.Err()
 // (or evalctx.ErrBudgetExceeded) instead of a wrong boolean when cut
 // short. When the coNP engine exhausts its step budget and
-// opts.Approximate is set, the decision degrades to repair sampling and
-// the Result reports Approximate=true.
+// opts.Approximate is set, the decision degrades to repair counting
+// (degradeToCount), and the Result reports Approximate=true when the
+// count had to be estimated.
 func (p *Plan) CertainIndexedCtx(ctx context.Context, ix *match.Index, opts Options) (Result, error) {
 	if err := CheckSchema(p.Query, ix.DB); err != nil {
 		return Result{}, err
@@ -124,37 +125,38 @@ func (p *Plan) CertainIndexedCtx(ctx context.Context, ix *match.Index, opts Opti
 }
 
 func (p *Plan) certainChecked(ctx context.Context, ix *match.Index, opts Options, chk *evalctx.Checker) (Result, error) {
+	engine := p.Engine(opts)
+	res := Result{Class: p.Class, Engine: engine}
 	// Fail fast on a context that is already cancelled — an evaluation
 	// quick enough to finish inside one amortization window would
 	// otherwise never notice.
-	if err := chk.Check(); err != nil {
-		return Result{}, err
-	}
-	engine := p.Engine(opts)
-	res := Result{Class: p.Class, Engine: engine}
-	var err error
-	switch engine {
-	case EngineFO:
+	err := chk.Check()
+	switch {
+	case err != nil:
+	case engine == EngineFO:
 		if p.HasCycle {
 			return Result{}, fmt.Errorf("core: attack graph of %s is cyclic; CERTAINTY is not in FO", p.Query)
 		}
 		res.Certain, err = p.Elim.CertainChecked(ix, nil, chk)
-	case EnginePTime:
+	case engine == EnginePTime:
 		if p.HasStrongCycle {
 			return Result{}, fmt.Errorf("core: attack graph of %s has a strong cycle; CERTAINTY is coNP-complete", p.Query)
 		}
 		res.Certain, _, err = ptime.CertainNoStrongCycleChecked(p.Query, ix.DB, chk)
-	case EngineCoNP:
+	case engine == EngineCoNP:
 		res.Certain, _, err = conp.CertainChecked(p.Query, ix.DB, chk)
-		if errors.Is(err, evalctx.ErrBudgetExceeded) && opts.Approximate {
-			return p.degradeToSampling(ctx, ix, opts)
-		}
-	case EngineNaive:
+	case engine == EngineNaive:
 		if err = chk.Check(); err == nil {
 			res.Certain, err = naive.Certain(p.Query, ix.DB)
 		}
 	default:
 		err = fmt.Errorf("core: unknown engine %v", engine)
+	}
+	// The budget may run out in the search or, on a sharded dispatch
+	// that already spent it, at the entry check; either way a coNP
+	// evaluation degrades when allowed.
+	if errors.Is(err, evalctx.ErrBudgetExceeded) && opts.Approximate && engine == EngineCoNP {
+		return p.degradeToCount(ctx, ix, opts)
 	}
 	if err != nil {
 		return Result{}, err
@@ -162,33 +164,28 @@ func (p *Plan) certainChecked(ctx context.Context, ix *match.Index, opts Options
 	return res, nil
 }
 
-// degradeToSampling is the graceful-degradation path of a coNP-class
-// evaluation whose exact search ran out of its step budget: estimate
-// the satisfying-repair fraction by uniform sampling (CertainFraction)
-// under the same context — the request deadline still applies — and
-// report the answer as approximate. The RNG is fixed, so the same
-// request degrades to the same estimate.
-func (p *Plan) degradeToSampling(ctx context.Context, ix *match.Index, opts Options) (Result, error) {
-	samples := opts.Samples
-	if samples <= 0 {
-		samples = DefaultSamples
-	}
-	// A fresh checker: the step budget is spent, but the context of the
-	// exhausted evaluation still bounds the sampling wall-clock.
+// degradeToCount is the graceful-degradation path of a coNP-class
+// evaluation whose exact search ran out of its step budget: count the
+// repairs with counting.Count — exactly what /v1/count computes with
+// approximate: true — under a fresh checker with no step limit (the
+// budget is spent, but the request context still bounds the wall clock).
+// Components that fit are enumerated, so the verdict is often exact;
+// only an oversized component makes it an estimate. An estimate answers
+// false only on a witnessed falsifying repair, so sampling can miss a
+// falsifier but never invent one.
+func (p *Plan) degradeToCount(ctx context.Context, ix *match.Index, opts Options) (Result, error) {
 	chk := evalctx.NewTraced(ctx, evalctx.Limits{}, opts.Tracer)
-	sp := opts.Tracer.Begin(trace.StageSampling)
-	frac, err := CertainFractionChecked(p.Query, ix.DB, samples, rand.New(rand.NewSource(1)), chk)
-	sp.End()
-	opts.Tracer.Add(trace.StageSampling, trace.CtrSteps, int64(samples))
+	count, err := counting.Count(p.Query, ix, chk, counting.Options{Samples: opts.Samples})
 	if err != nil {
 		return Result{}, err
 	}
 	return Result{
-		Certain:     frac >= 1,
+		Certain:     !count.Falsified,
 		Class:       p.Class,
 		Engine:      EngineCoNP,
-		Approximate: true,
-		Fraction:    frac,
+		Approximate: !count.Exact,
+		Fraction:    count.Fraction,
+		Confidence:  count.Confidence,
 	}, nil
 }
 

@@ -76,6 +76,12 @@ type Result struct {
 	Fraction   float64  // Satisfying/Total, exact ratio or estimate midpoint
 	Confidence float64  // 95% confidence half-width on Fraction; 0 when Exact
 	Exact      bool     // every component enumerated exactly
+	// Falsified reports a witnessed falsifying repair: every component
+	// produced a falsifying assignment (counted or sampled), and those
+	// assignments combine into one repair where q fails. On an exact
+	// count it is Satisfying < Total; on an estimate it is a proof, never
+	// an inference from Fraction.
+	Falsified bool
 }
 
 // SatisfyingRepairs counts the repairs of d satisfying q exactly,
@@ -118,8 +124,9 @@ func Count(q query.Query, ix *match.Index, chk *evalctx.Checker, opts Options) (
 	for _, b := range d.Blocks() {
 		total.Mul(total, big.NewInt(int64(len(b.Facts))))
 	}
-	res := Result{Total: total, Exact: true}
+	res := Result{Total: total, Exact: true, Falsified: true}
 	if q.Empty() {
+		res.Falsified = false
 		res.Satisfying = new(big.Int).Set(total)
 		res.Fraction = 1
 		return res, nil
@@ -236,6 +243,7 @@ func Count(q query.Query, ix *match.Index, chk *evalctx.Checker, opts Options) (
 			// q, exactly, regardless of the component's size.
 			fracLo, fracHi = 0, 0
 			falsifying.SetInt64(0)
+			res.Falsified = false
 			continue
 		}
 		space, fits := componentSpace(comp.sizes, limit)
@@ -251,6 +259,7 @@ func Count(q query.Query, ix *match.Index, chk *evalctx.Checker, opts Options) (
 			}
 			tr.Add(trace.StageCount, trace.CtrSteps, space)
 			falsifying.Mul(falsifying, big.NewInt(fals))
+			res.Falsified = res.Falsified && fals > 0
 			r := float64(fals) / float64(space)
 			fracLo *= r
 			fracHi *= r
@@ -260,10 +269,11 @@ func Count(q query.Query, ix *match.Index, chk *evalctx.Checker, opts Options) (
 			return Result{}, fmt.Errorf("%w (component %d, %d blocks over limit %d)",
 				ErrComponentTooLarge, ci, len(comp.sizes), limit)
 		}
-		lo, hi, err := sampleComponent(comp, samples, rng, chk)
+		lo, hi, witnessed, err := sampleComponent(comp, samples, rng, chk)
 		if err != nil {
 			return Result{}, err
 		}
+		res.Falsified = res.Falsified && witnessed
 		totalSamples += int64(samples)
 		res.Sampled++
 		res.Exact = false
@@ -421,13 +431,14 @@ func countComponentExact(comp *component, chk *evalctx.Checker) (int64, error) {
 // blocks — each is a uniform repair restricted to the component — and
 // returns a 95% confidence interval [lo, hi] on its falsifying fraction:
 // a normal approximation in the interior, the rule of three at the
-// boundary outcomes where the variance estimate degenerates.
-func sampleComponent(comp *component, n int, rng *rand.Rand, chk *evalctx.Checker) (lo, hi float64, err error) {
+// boundary outcomes where the variance estimate degenerates. witnessed
+// reports that at least one draw falsified every constraint.
+func sampleComponent(comp *component, n int, rng *rand.Rand, chk *evalctx.Checker) (lo, hi float64, witnessed bool, err error) {
 	sel := make([]int32, len(comp.sizes))
 	fals := 0
 	for k := 0; k < n; k++ {
 		if err := chk.Step(); err != nil {
-			return 0, 0, err
+			return 0, 0, false, err
 		}
 		for i, sz := range comp.sizes {
 			sel[i] = int32(rng.Intn(sz))
@@ -459,7 +470,7 @@ func sampleComponent(comp *component, n int, rng *rand.Rand, chk *evalctx.Checke
 	}
 	lo = math.Max(0, r-hw)
 	hi = math.Min(1, r+hw)
-	return lo, hi, nil
+	return lo, hi, fals > 0, nil
 }
 
 // exactFraction returns sat/total as a float64 (0 on an empty space,

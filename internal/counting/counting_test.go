@@ -155,3 +155,37 @@ func TestEmptyQueryCount(t *testing.T) {
 		t.Errorf("empty query: %v/%v", res.Satisfying, res.Total)
 	}
 }
+
+// TestCountFalsifiedWitness: Falsified is Satisfying < Total on an exact
+// count, and on an estimate it is set only when sampling drew a
+// falsifying assignment — never on a certain instance.
+func TestCountFalsifiedWitness(t *testing.T) {
+	q := query.MustParse("R(x | y), S(y | z)")
+	for _, tc := range []struct {
+		facts     string
+		limit     int64 // 1 forces the component to be sampled
+		exact     bool
+		falsified bool
+	}{
+		{"R(a | b)\nR(a | dead)\nS(b | c)", 0, true, true},
+		{"R(a | b)\nS(b | c)", 0, true, false},
+		{"R(a | b)\nR(a | dead)\nS(b | c)", 1, false, true},
+		{"R(a | b)\nR(a | c)\nS(b | 1)\nS(c | 1)", 1, false, false},
+	} {
+		d, err := db.ParseFacts(q.Schema(), tc.facts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := Count(q, match.NewIndex(d), nil, Options{ComponentLimit: tc.limit})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Exact != tc.exact || res.Falsified != tc.falsified {
+			t.Errorf("%q limit %d: exact=%v falsified=%v, want %v/%v",
+				tc.facts, tc.limit, res.Exact, res.Falsified, tc.exact, tc.falsified)
+		}
+		if res.Exact && res.Falsified != (res.Satisfying.Cmp(res.Total) < 0) {
+			t.Errorf("%q: falsified=%v but %v of %v repairs satisfy", tc.facts, res.Falsified, res.Satisfying, res.Total)
+		}
+	}
+}

@@ -43,6 +43,10 @@ func CheckCounting(q query.Query, d *db.DB) (skipped bool, err error) {
 	if res.Satisfying.Cmp(big.NewInt(int64(sat))) != 0 {
 		return false, mismatch("Satisfying", res.Satisfying, sat)
 	}
+	if res.Falsified != (sat < total) {
+		return false, fmt.Errorf("counting Falsified = %v, oracle: %d of %d repairs satisfy\nquery: %s\ndb:\n%s",
+			res.Falsified, sat, total, q, d)
+	}
 	if !res.Exact || res.Confidence != 0 {
 		return false, fmt.Errorf("in-budget count reported exact=%v confidence=%v\nquery: %s",
 			res.Exact, res.Confidence, q)

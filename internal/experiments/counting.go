@@ -39,7 +39,7 @@ func runE21(r *Runner) error {
 	}
 	acc := Table{
 		Title:   "anytime estimator accuracy (hub instance, one component, space 2^17)",
-		Headers: []string{"samples", "exact-fraction", "estimate", "abs-err", "confidence", "in-interval"},
+		Headers: []string{"samples", "exact", "estimate", "abs-err", "confidence", "in-interval"},
 	}
 	budgets := []int{256, 1024, 4096}
 	if r.Quick {

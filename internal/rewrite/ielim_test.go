@@ -52,10 +52,11 @@ func largeDBParams() workload.DBParams {
 	return workload.DBParams{SeedMatches: 12, Domain: 3, ExtraPerBlock: 4}
 }
 
-// TestInternedMatchesRowRandom: the interned columnar walk decides the
-// same boolean as the row-oriented references — naive on small random
-// acyclic instances, the rewriting's model check on large ones.
-func TestInternedMatchesRowRandom(t *testing.T) {
+// TestInternedMatchesReferencesRandom: the interned columnar walk
+// decides the same boolean as the row-oriented references — naive on
+// small random acyclic instances, the rewriting's model check on large
+// ones.
+func TestInternedMatchesReferencesRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(4117))
 	used := map[int]int{}
 	for trial := 0; trial < 300; trial++ {
@@ -270,11 +271,11 @@ func sameAnswers(t *testing.T, got []query.Valuation, want map[string]bool, d *d
 	}
 }
 
-// TestSweepSpansMatchesSweepBlocks: the interned sweep returns exactly
+// TestSweepSpansMatchesReferences: the interned sweep returns exactly
 // the certain answers the naive oracle decides candidate by candidate,
 // flat and under a partition of the top relation's blocks, and the bit
 // kernel agrees with it.
-func TestSweepSpansMatchesSweepBlocks(t *testing.T) {
+func TestSweepSpansMatchesReferences(t *testing.T) {
 	q := query.MustParse("R(x | y), S(y | z)")
 	el, err := CompileAcyclic(q)
 	if err != nil {

@@ -80,8 +80,8 @@ func TestBudgetExhaustionDegradesToSampling(t *testing.T) {
 	if rec.Code != 200 {
 		t.Fatalf("degraded request: %d %s", rec.Code, rec.Body.String())
 	}
-	if !resp.Approximate || resp.Fraction == nil {
-		t.Fatalf("expected approximate response, got %+v", resp)
+	if !resp.Approximate || resp.Fraction == nil || resp.Confidence == nil {
+		t.Fatalf("expected approximate response with a confidence interval, got %+v", resp)
 	}
 	if got := rec.Header().Get("X-CQA-Degraded"); got != "sampling" {
 		t.Errorf("X-CQA-Degraded = %q", got)

@@ -116,9 +116,7 @@ func (s *Server) certainViaCluster(w http.ResponseWriter, r *http.Request, req c
 	}
 	if res.Approximate {
 		s.metrics.degraded.Add(1)
-		frac := res.Fraction
-		resp.Approximate = true
-		resp.Fraction = &frac
+		resp.markApproximate(res)
 		if failedShards > 0 {
 			w.Header().Set("X-CQA-Degraded", "partial-shards")
 		} else {

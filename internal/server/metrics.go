@@ -30,7 +30,8 @@ type metrics struct {
 	timeouts atomic.Uint64
 	// panics counts engine panics converted into structured 500s.
 	panics atomic.Uint64
-	// degraded counts coNP evaluations that fell back to sampling.
+	// degraded counts approximate certain answers: a coNP degrade that
+	// had to estimate, or a partial-shards verdict.
 	degraded atomic.Uint64
 	// mutations counts committed delta writes (POST /v1/db/{name}/facts
 	// requests that published or idempotently reached a version).

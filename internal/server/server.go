@@ -62,7 +62,7 @@ const (
 	// DefaultMaxSteps is the per-query engine step budget. The coNP
 	// search on an adversarial instance is exponential; this bounds it
 	// to roughly a second of CPU, after which the request degrades to
-	// sampling (approximate: true) or fails with budget_exhausted.
+	// repair counting or fails with budget_exhausted.
 	DefaultMaxSteps = 20_000_000
 	// DefaultMemoCap bounds the memoization entries one evaluation may
 	// hold (eliminator + ptime memo tables): bounded memory per request.
@@ -297,11 +297,12 @@ type certainRequest struct {
 	// cannot disable the budget).
 	MaxSteps int64 `json:"maxSteps,omitempty"`
 	// Approximate controls graceful degradation of a budget-exhausted
-	// coNP evaluation to repair sampling; nil means the server default
+	// coNP evaluation to repair counting; nil means the server default
 	// (enabled). Explicitly false turns exhaustion into a
 	// budget_exhausted error.
 	Approximate *bool `json:"approximate,omitempty"`
-	// Samples is the sampling budget of the degraded path.
+	// Samples is the Monte Carlo draw count per estimated counting
+	// component (certain's degrade and /v1/count alike).
 	Samples int `json:"samples,omitempty"`
 }
 
@@ -317,15 +318,29 @@ type certainResponse struct {
 	Engine  string `json:"engine"`
 	Cached  bool   `json:"cached"`
 	DB      *dbRef `json:"db,omitempty"`
-	// Approximate marks a degraded answer: the exact coNP search ran
-	// out of its step budget and Certain reports whether every sampled
-	// repair satisfied the query; Fraction is the sampled satisfying
-	// fraction.
+	// Approximate marks an unproven verdict. After the counting
+	// degrade of a budget-exhausted coNP search, Fraction is the
+	// estimated satisfying-repair fraction, Confidence its 95%
+	// half-width, and Certain is false only on a witnessed falsifying
+	// repair. On a cluster partial-shards answer, Fraction is the share
+	// of shards that answered and Confidence is absent.
 	Approximate bool     `json:"approximate,omitempty"`
 	Fraction    *float64 `json:"fraction,omitempty"`
+	Confidence  *float64 `json:"confidence,omitempty"`
 	// Trace is the per-stage breakdown; present only when the request
 	// carried an X-CQA-Trace header.
 	Trace *traceInfo `json:"trace,omitempty"`
+}
+
+// markApproximate fills the degraded-answer fields from res.
+func (r *certainResponse) markApproximate(res core.Result) {
+	frac := res.Fraction
+	r.Approximate = true
+	r.Fraction = &frac
+	if res.Confidence > 0 {
+		conf := res.Confidence
+		r.Confidence = &conf
+	}
 }
 
 // countResponse reports a #CERTAINTY repair count. Total is always the
@@ -755,9 +770,7 @@ func (s *Server) handleCertain(w http.ResponseWriter, r *http.Request) {
 	}
 	if res.Approximate {
 		s.metrics.degraded.Add(1)
-		frac := res.Fraction
-		resp.Approximate = true
-		resp.Fraction = &frac
+		resp.markApproximate(res)
 		w.Header().Set("X-CQA-Degraded", "sampling")
 	}
 	w.Header().Set("X-CQA-Engine", res.Engine.String())

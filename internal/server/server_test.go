@@ -327,8 +327,10 @@ func TestCertainAllCatalogQueries(t *testing.T) {
 
 // TestConcurrentCertainAndUploads hammers the plan cache from 32
 // goroutines while snapshots are swapped underneath; run with -race.
+// MaxWorkers admits all 32 at once, so a 429 shed is a failure here;
+// TestAdmissionShedding covers shedding.
 func TestConcurrentCertainAndUploads(t *testing.T) {
-	srv := New(Config{CacheSize: 8, MaxWorkers: 16})
+	srv := New(Config{CacheSize: 8, MaxWorkers: 32})
 	h := srv.Handler()
 	queries := []string{
 		"R(x | y), S(y | z)",

@@ -46,9 +46,6 @@ const (
 	StagePTime
 	// StageCoNP is the DPLL falsifying-repair search.
 	StageCoNP
-	// StageSampling is the degraded repair-sampling path of a
-	// budget-exhausted coNP evaluation.
-	StageSampling
 	// StageShard is one per-shard evaluation task of the scatter-gather
 	// path: a request evaluated over N shards closes N spans of this
 	// stage (plus one per hedged duplicate), so MaxUs vs the mean span
@@ -66,7 +63,7 @@ const (
 
 var stageNames = [numStages]string{
 	"normalize", "compile", "index-build", "purify", "match",
-	"eliminator", "ptime", "conp", "sampling", "shard", "shard-index",
+	"eliminator", "ptime", "conp", "shard", "shard-index",
 	"count",
 }
 
@@ -107,7 +104,7 @@ const (
 	// by the repair counter.
 	CtrComponents
 	// CtrSamples counts Monte Carlo repair samples drawn by anytime
-	// estimation (oversized counting components, coNP degradation).
+	// estimation of oversized counting components.
 	CtrSamples
 	numCounters
 )
