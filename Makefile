@@ -66,14 +66,17 @@ fuzz:
 	$(GO) test -fuzz=FuzzParseFact -fuzztime=30s ./internal/db/
 	$(GO) test -fuzz=FuzzDifferential -fuzztime=30s ./internal/difftest/
 	$(GO) test -fuzz=FuzzCounting -fuzztime=30s ./internal/difftest/
+	$(GO) test -fuzz=FuzzAnswersBody -fuzztime=30s ./internal/server/
 
 # Deterministic slice of the fuzz suite: the seeded differential corpora
-# (>= 500 generated instances each for the decision engines and the
-# repair-counting engine, checked against the brute-force oracle) plus a
-# replay of the checked-in fuzz seed corpora. No live fuzzing — this is
-# the `check` gate; use `make fuzz` for a real exploration burst.
+# (>= 500 generated instances each for the decision engines, the
+# repair-counting engine and the certain-answers paths, checked against
+# the brute-force oracle) plus a replay of the checked-in fuzz seed
+# corpora, including the answers body encoder's. No live fuzzing — this
+# is the `check` gate; use `make fuzz` for a real exploration burst.
 fuzz-smoke:
-	$(GO) test -run 'TestDifferentialSeeded|TestCountingDifferential|FuzzDifferential|FuzzCounting' ./internal/difftest/
+	$(GO) test -run 'TestDifferentialSeeded|TestCountingDifferential|TestAnswersDifferential|FuzzDifferential|FuzzCounting' ./internal/difftest/
+	$(GO) test -run 'FuzzAnswersBody' ./internal/server/
 
 # Static gate: fails on any tracked Go file gofmt would change, then
 # runs vet, plus staticcheck when it is on PATH (it is not vendored, so

@@ -33,6 +33,7 @@ import (
 	"errors"
 	"fmt"
 
+	"cqa/internal/answer"
 	"cqa/internal/shard"
 )
 
@@ -118,9 +119,10 @@ type EvalRequest struct {
 type EvalResponse struct {
 	// Certain is the Boolean verdict (KindBool / KindSingle).
 	Certain bool `json:"certain"`
-	// Answers are the shard's certain answers (KindSweep / KindCheck),
-	// each a free-variable binding.
-	Answers []map[string]string `json:"answers,omitempty"`
+	// Answers are the shard's certain answers (KindSweep / KindCheck)
+	// in binding-key order; on the wire an array of objects, each a
+	// free-variable binding. Nil when there are none.
+	Answers *answer.Rows `json:"answers,omitempty"`
 	// Approximate / Fraction / Confidence report a KindSingle coNP
 	// evaluation that degraded to repair counting on the node (see
 	// core.Result).

@@ -122,7 +122,7 @@ func TestClusterDifferential(t *testing.T) {
 			}
 			failedOK++
 		} else {
-			keys := answerKeySet(t, ans)
+			keys := answerKeySet(t, ans.Valuations())
 			if len(keys) != len(monoKeys) {
 				t.Fatalf("seed %d: cluster answers %d, monolithic %d\nquery: %s (free %v)\ndb:\n%s",
 					seed, len(keys), len(monoKeys), q, free, d)

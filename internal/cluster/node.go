@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"cqa/internal/answer"
 	"cqa/internal/core"
 	"cqa/internal/evalctx"
 	"cqa/internal/faultinject"
@@ -12,6 +13,7 @@ import (
 	"cqa/internal/query"
 	"cqa/internal/shard"
 	"cqa/internal/store"
+	"cqa/internal/sym"
 )
 
 // Exec evaluates one shard request against a local store: the server
@@ -85,17 +87,17 @@ func Exec(ctx context.Context, cache *plancache.Cache, st *store.Store, req *Eva
 			return nil, &RequestError{Code: "bad_request",
 				Msg: fmt.Sprintf("plan for %q is not sweepable over %v", req.Query, req.Free)}
 		}
-		var out []query.Valuation
+		var out answer.Batch
 		out, err = runShardTask(ctx, snap, req, chk, plan.SweepShardTask(ix, free))
-		resp.Answers = encodeValuations(out)
+		resp.Answers = wireRows(out)
 	case KindCheck:
 		free, ferr := freeVars(plan, req.Free)
 		if ferr != nil {
 			return nil, ferr
 		}
-		var out []query.Valuation
+		var out answer.Batch
 		out, err = checkOwned(ctx, plan, ix, free, req, opts, chk)
-		resp.Answers = encodeValuations(out)
+		resp.Answers = wireRows(out)
 	default:
 		return nil, &RequestError{Code: "bad_request", Msg: fmt.Sprintf("unknown kind %q", req.Kind)}
 	}
@@ -127,12 +129,12 @@ func runShardTask[T any](ctx context.Context, snap *store.Snapshot, req *EvalReq
 // checkOwned is the KindCheck body: enumerate every candidate answer
 // (the deterministic first-seen order makes ownership agreement free),
 // check the ones whose binding key hashes to this shard, and return the
-// certain ones. Candidates run inline on the request goroutine — the
-// request is already one shard's worth of work.
-func checkOwned(ctx context.Context, plan *core.Plan, ix *match.Index, free []query.Var, req *EvalRequest, opts core.Options, chk *evalctx.Checker) ([]query.Valuation, error) {
+// certain ones in binding-key order. Candidates run inline on the
+// request goroutine — the request is already one shard's worth of work.
+func checkOwned(ctx context.Context, plan *core.Plan, ix *match.Index, free []query.Var, req *EvalRequest, opts core.Options, chk *evalctx.Checker) (answer.Batch, error) {
 	candidates, err := plan.EnumerateCandidates(ix, free, opts, chk)
 	if err != nil {
-		return nil, err
+		return answer.Batch{}, err
 	}
 	var out []query.Valuation
 	for _, proj := range candidates {
@@ -140,17 +142,17 @@ func checkOwned(ctx context.Context, plan *core.Plan, ix *match.Index, free []qu
 			continue
 		}
 		if err := chk.Err(); err != nil {
-			return nil, err
+			return answer.Batch{}, err
 		}
 		ok, err := plan.CheckCandidate(ctx, ix, opts, proj, chk)
 		if err != nil {
-			return nil, err
+			return answer.Batch{}, err
 		}
 		if ok {
 			out = append(out, proj)
 		}
 	}
-	return out, nil
+	return answer.FromValuations(answer.Columns(free), out, sym.NewTable()), nil
 }
 
 // freeVars parses and validates the wire form of the free variables
@@ -170,32 +172,12 @@ func freeVars(plan *core.Plan, names []string) ([]query.Var, error) {
 	return free, nil
 }
 
-func encodeValuations(vs []query.Valuation) []map[string]string {
-	if len(vs) == 0 {
+// wireRows is the wire form of a shard's sorted answers; nil (the
+// field is omitted) when there are none.
+func wireRows(b answer.Batch) *answer.Rows {
+	if b.Len() == 0 {
 		return nil
 	}
-	out := make([]map[string]string, len(vs))
-	for i, v := range vs {
-		m := make(map[string]string, len(v))
-		for x, c := range v {
-			m[string(x)] = string(c)
-		}
-		out[i] = m
-	}
-	return out
-}
-
-func decodeValuations(ms []map[string]string) []query.Valuation {
-	if len(ms) == 0 {
-		return nil
-	}
-	out := make([]query.Valuation, len(ms))
-	for i, m := range ms {
-		v := make(query.Valuation, len(m))
-		for x, c := range m {
-			v[query.Var(x)] = query.Const(c)
-		}
-		out[i] = v
-	}
-	return out
+	r := b.Rows()
+	return &r
 }

@@ -12,10 +12,10 @@ import (
 	"sync/atomic"
 	"time"
 
+	"cqa/internal/answer"
 	"cqa/internal/core"
 	"cqa/internal/evalctx"
 	"cqa/internal/query"
-	"cqa/internal/rewrite"
 	"cqa/internal/shard"
 	"cqa/internal/trace"
 )
@@ -325,12 +325,14 @@ func (r *Router) scatterBool(ctx context.Context, chk *evalctx.Checker, plan *co
 // checks by binding-key ownership. The merge is a set union, so it
 // fails closed: any shard that stays unreachable after retries fails
 // the request (a partial union would silently drop answers — there is
-// no sound degraded answer set). Answers return sorted by binding key.
-func (r *Router) CertainAnswers(ctx context.Context, plan *core.Plan, dbName string, free []query.Var, opts core.Options) ([]query.Valuation, error) {
+// no sound degraded answer set). Every node returns its part in
+// binding-key order and the parts merge in one ordered pass, so the
+// answers come back in the order of the flat and local-shard paths.
+func (r *Router) CertainAnswers(ctx context.Context, plan *core.Plan, dbName string, free []query.Var, opts core.Options) (answer.Rows, error) {
 	vars := plan.Query.Vars()
 	for _, v := range free {
 		if !vars.Has(v) {
-			return nil, &RequestError{Code: "bad_request",
+			return answer.Rows{}, &RequestError{Code: "bad_request",
 				Msg: fmt.Sprintf("free variable %s does not occur in %s", v, plan.Query)}
 		}
 	}
@@ -353,7 +355,7 @@ func (r *Router) CertainAnswers(ctx context.Context, plan *core.Plan, dbName str
 		base.Kind = KindCheck
 	}
 	n := r.cfg.Shards
-	parts := make([][]query.Valuation, n)
+	parts := make([]answer.Rows, n)
 	errs := make([]error, n)
 	var wg sync.WaitGroup
 	for id := 0; id < n; id++ {
@@ -367,25 +369,18 @@ func (r *Router) CertainAnswers(ctx context.Context, plan *core.Plan, dbName str
 				errs[id] = err
 				return
 			}
-			parts[id] = decodeValuations(resp.Answers)
+			if resp.Answers != nil {
+				parts[id] = *resp.Answers
+			}
 		}(id)
 	}
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
-			return nil, err
+			return answer.Rows{}, err
 		}
 	}
-	total := 0
-	for _, part := range parts {
-		total += len(part)
-	}
-	out := make([]query.Valuation, 0, total)
-	for _, part := range parts {
-		out = append(out, part...)
-	}
-	rewrite.SortValuationsByKey(out)
-	return out, nil
+	return answer.MergeRows(answer.Columns(free), parts)
 }
 
 // do executes one shard request with the full client-side fault

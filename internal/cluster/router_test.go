@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
@@ -124,8 +125,8 @@ func TestRouterRetriesOneWayPartition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ans) != len(monoAns) {
-		t.Fatalf("answers under partition: %d, monolithic %d", len(ans), len(monoAns))
+	if got := ans.Valuations(); !reflect.DeepEqual(got, monoAns) {
+		t.Fatalf("answers under partition: %v, monolithic %v", got, monoAns)
 	}
 }
 

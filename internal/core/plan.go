@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"sync"
 
+	"cqa/internal/answer"
 	"cqa/internal/conp"
 	"cqa/internal/counting"
 	"cqa/internal/db"
@@ -16,6 +17,7 @@ import (
 	"cqa/internal/query"
 	"cqa/internal/rewrite"
 	"cqa/internal/shard"
+	"cqa/internal/sym"
 	"cqa/internal/trace"
 )
 
@@ -191,71 +193,72 @@ func (p *Plan) degradeToCount(ctx context.Context, ix *match.Index, opts Options
 
 // CertainAnswers lifts the plan to non-Boolean queries: for the given
 // free variables it returns every binding (drawn from embeddings into d)
-// whose instantiated Boolean query is certain, in deterministic order.
+// whose instantiated Boolean query is certain, in binding-key order
+// (the order of Valuation.Key).
 func (p *Plan) CertainAnswers(free []query.Var, d *db.DB, opts Options) ([]query.Valuation, error) {
 	return p.CertainAnswersIndexed(free, match.NewIndex(d), opts)
 }
 
 // CertainAnswersIndexed is CertainAnswers against a pre-built index.
-//
-// Candidate bindings are the projections of embeddings into the
-// database; each candidate's certainty check is independent, so the
-// checks run on a bounded worker pool (Options.Workers) sharing the
-// read-only index. For FO plans each candidate is decided by the
-// compiled eliminator seeded with the candidate binding: instantiating
-// variables with constants never adds attacks (Lemma 6), so acyclicity
-// and the elimination order are inherited and no per-binding
-// reclassification or query substitution happens. For the other classes
-// instantiation can only make the query easier, and each binding is
-// dispatched through Certain, which classifies the instantiated query.
 func (p *Plan) CertainAnswersIndexed(free []query.Var, ix *match.Index, opts Options) ([]query.Valuation, error) {
 	return p.CertainAnswersIndexedCtx(context.Background(), free, ix, opts)
 }
 
-// CertainAnswersIndexedCtx is CertainAnswersIndexed under a context and
-// the budgets of opts. One checker governs the whole request: candidate
-// enumeration polls it, and every pool worker runs a Fork sharing the
-// same step budget. On cancellation or budget exhaustion the feeding
-// loop stops, the workers drain and exit — no goroutine outlives the
-// call — and the request returns the checker's error, never a partial
-// answer set.
+// CertainAnswersIndexedCtx is CertainAnswerBatch with the answers as
+// bindings: the Go API's form. It is the one place an answer becomes a
+// query.Valuation; the serving paths encode the batch directly.
 func (p *Plan) CertainAnswersIndexedCtx(ctx context.Context, free []query.Var, ix *match.Index, opts Options) ([]query.Valuation, error) {
+	b, err := p.CertainAnswerBatch(ctx, free, ix, opts)
+	if err != nil {
+		return nil, err
+	}
+	return b.Rows().Valuations(), nil
+}
+
+// CertainAnswerBatch computes the certain answers over the given free
+// variables as one batch in binding-key order, under a context and the
+// budgets of opts.
+//
+// Sweepable FO plans (free variables that read off the top atom's key,
+// see Eliminator.SweepableFree) derive and decide every candidate in
+// one pass over the top relation's column spans, sharing one memo and
+// one evaluation state. Everything else enumerates candidate bindings
+// (the projections of embeddings into the database) and checks each
+// independently on a bounded worker pool (Options.Workers) sharing the
+// read-only index: FO plans seed the compiled eliminator with the
+// candidate (instantiation never adds attacks, Lemma 6), the other
+// classes dispatch the instantiated query through Certain.
+//
+// One checker governs the whole request: candidate enumeration polls
+// it, and every pool worker runs a Fork sharing the same step budget.
+// On cancellation or budget exhaustion the feeding loop stops, the
+// workers drain and exit — no goroutine outlives the call — and the
+// request returns the checker's error, never a partial answer set.
+func (p *Plan) CertainAnswerBatch(ctx context.Context, free []query.Var, ix *match.Index, opts Options) (answer.Batch, error) {
 	vars := p.Query.Vars()
 	for _, v := range free {
 		if !vars.Has(v) {
-			return nil, fmt.Errorf("core: free variable %s does not occur in %s", v, p.Query)
+			return answer.Batch{}, fmt.Errorf("core: free variable %s does not occur in %s", v, p.Query)
 		}
 	}
 	if err := CheckSchema(p.Query, ix.DB); err != nil {
-		return nil, err
+		return answer.Batch{}, err
 	}
 	chk := evalctx.NewTraced(ctx, evalctx.Limits{MaxSteps: opts.MaxSteps, MemoCap: opts.MemoCap}, opts.Tracer)
 	if err := chk.Check(); err != nil {
-		return nil, err
+		return answer.Batch{}, err
 	}
 	if pool, cleanup := shardedPool(ix, opts); pool != nil {
 		defer cleanup()
 		return p.certainAnswersSharded(ctx, free, ix, opts, chk, pool)
 	}
-
-	// Batched block sweep (fast FO plans whose free variables read off
-	// the top atom's key): all candidates are derived and decided in
-	// one pass over the top relation's column spans, sharing one memo
-	// and one evaluation state — no join enumeration, no per-candidate
-	// eliminator walk. Answers come back in the canonical binding-key
-	// order, the same order the sharded merge produces.
 	if p.ScatterableFO(opts) && p.Elim.SweepableFree(free) {
-		out, err := p.Elim.SweepSpans(ix, nil, free, chk)
-		if err != nil {
-			return nil, err
-		}
-		rewrite.SortValuationsByKey(out)
-		return out, nil
+		return p.Elim.SweepSpans(ix, nil, free, chk)
 	}
 
 	candidates, err := p.EnumerateCandidates(ix, free, opts, chk)
 	if err != nil {
-		return nil, err
+		return answer.Batch{}, err
 	}
 
 	check := func(proj query.Valuation, wchk *evalctx.Checker) (bool, error) {
@@ -269,7 +272,7 @@ func (p *Plan) CertainAnswersIndexedCtx(ctx context.Context, free []query.Var, i
 	if workers <= 1 {
 		for i, proj := range candidates {
 			if err := chk.Err(); err != nil {
-				return nil, err
+				return answer.Batch{}, err
 			}
 			certain[i], errs[i] = check(proj, chk)
 		}
@@ -309,19 +312,26 @@ func (p *Plan) CertainAnswersIndexedCtx(ctx context.Context, free []query.Var, i
 		wg.Wait()
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return answer.Batch{}, err
 	}
 
 	var out []query.Valuation
 	for i, proj := range candidates {
 		if errs[i] != nil {
-			return nil, errs[i]
+			return answer.Batch{}, errs[i]
 		}
 		if certain[i] {
 			out = append(out, proj)
 		}
 	}
-	return out, nil
+	return candidateBatch(free, out), nil
+}
+
+// candidateBatch interns the certain candidates into a table of their
+// own, in binding-key order: candidates are not read off the columnar
+// view, so the candidate path never builds one.
+func candidateBatch(free []query.Var, certain []query.Valuation) answer.Batch {
+	return answer.FromValuations(answer.Columns(free), certain, sym.NewTable())
 }
 
 // EnumerateCandidates collects the candidate answers: deduplicated

@@ -2,13 +2,12 @@ package core
 
 import (
 	"context"
-	"sort"
 	"sync"
 
+	"cqa/internal/answer"
 	"cqa/internal/evalctx"
 	"cqa/internal/match"
 	"cqa/internal/query"
-	"cqa/internal/rewrite"
 	"cqa/internal/shard"
 )
 
@@ -24,8 +23,8 @@ import (
 //     any shard is definitive, false needs every shard, and a failed
 //     shard is an error, never a wrong boolean.
 //   - Certain answers: each candidate is owned by exactly one shard, so
-//     the merge is a plain set union; any shard error fails the request
-//     (a partial union would silently drop answers).
+//     the merge is a set union in binding-key order; any shard error
+//     fails the request (a partial union would silently drop answers).
 //   - Non-partitionable engines (ptime / conp / naive): the whole
 //     evaluation runs as a single task on the shard owning the plan
 //     key, so budgets, health, hedging, and fault injection apply
@@ -85,11 +84,12 @@ func (p *Plan) BoolShardTask(ix *match.Index) shard.Task[bool] {
 
 // SweepShardTask returns the per-shard batched answers task of a
 // sweepable FO plan (Eliminator.SweepableFree): derive and decide the
-// candidates of the shard's block partition in one columnar pass.
-// Answers come back unsorted; the merge sorts the union by binding key.
-func (p *Plan) SweepShardTask(ix *match.Index, free []query.Var) shard.Task[[]query.Valuation] {
+// candidates of the shard's block partition in one columnar pass,
+// sorted into binding-key order on the shard's worker, so the
+// coordinator only merges.
+func (p *Plan) SweepShardTask(ix *match.Index, free []query.Var) shard.Task[answer.Batch] {
 	topRel := p.TopRelation()
-	return func(v *shard.View, schk *evalctx.Checker) ([]query.Valuation, error) {
+	return func(v *shard.View, schk *evalctx.Checker) (answer.Batch, error) {
 		return p.Elim.SweepSpans(ix, v.SpansOf(topRel), free, schk)
 	}
 }
@@ -168,21 +168,21 @@ func (p *Plan) scatterBool(ctx context.Context, pool *shard.Pool, chk *evalctx.C
 //
 //   - Block sweep (fast FO plans whose free variables read off the top
 //     atom's key, see Eliminator.SweepableFree): each shard derives the
-//     candidates from its own block partition and decides them in one
+//     candidates from its own block partition, decides them in one
 //     pass — no join enumeration, no per-candidate index probe, and a
-//     memo shared across the shard's whole sweep. The union is sorted
-//     into the canonical (binding-key) order.
+//     memo shared across the shard's whole sweep — and sorts its part.
+//     The parts are disjoint and share the snapshot's symbol table, so
+//     one k-way merge yields the binding-key order.
 //   - Candidate partition (everything else): candidates are enumerated
 //     once on the coordinator exactly as in the monolithic path, each
 //     shard checks the candidates it owns (hash of the binding key) and
-//     reports the certain ones by index, and the union preserves the
-//     monolithic enumeration order.
-func (p *Plan) certainAnswersSharded(ctx context.Context, free []query.Var, ix *match.Index, opts Options, chk *evalctx.Checker, pool *shard.Pool) ([]query.Valuation, error) {
+//     reports the certain ones by index, and the union is sorted.
+func (p *Plan) certainAnswersSharded(ctx context.Context, free []query.Var, ix *match.Index, opts Options, chk *evalctx.Checker, pool *shard.Pool) (answer.Batch, error) {
 	n := pool.N()
 	fastFO := p.ScatterableFO(opts)
 	if fastFO && p.Elim.SweepableFree(free) {
 		task := p.SweepShardTask(ix, free)
-		parts := make([][]query.Valuation, n)
+		parts := make([]answer.Batch, n)
 		errs := make([]error, n)
 		var wg sync.WaitGroup
 		for id := 0; id < n; id++ {
@@ -195,27 +195,15 @@ func (p *Plan) certainAnswersSharded(ctx context.Context, free []query.Var, ix *
 		wg.Wait()
 		for _, err := range errs {
 			if err != nil {
-				return nil, err
+				return answer.Batch{}, err
 			}
 		}
-		total := 0
-		for _, part := range parts {
-			total += len(part)
-		}
-		out := make([]query.Valuation, 0, total)
-		for _, part := range parts {
-			out = append(out, part...)
-		}
-		rewrite.SortValuationsByKey(out)
-		return out, nil
+		return answer.MergeBatches(answer.Columns(free), ix.DB.Columnar().Syms, parts)
 	}
 
 	candidates, err := p.EnumerateCandidates(ix, free, opts, chk)
 	if err != nil {
-		return nil, err
-	}
-	if len(candidates) == 0 {
-		return nil, nil
+		return answer.Batch{}, err
 	}
 	groups := make([][]int, n)
 	for i, proj := range candidates {
@@ -257,17 +245,14 @@ func (p *Plan) certainAnswersSharded(ctx context.Context, free []query.Var, ix *
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
-			return nil, err
+			return answer.Batch{}, err
 		}
 	}
-	var idx []int
+	var certain []query.Valuation
 	for _, part := range results {
-		idx = append(idx, part...)
+		for _, i := range part {
+			certain = append(certain, candidates[i])
+		}
 	}
-	sort.Ints(idx)
-	out := make([]query.Valuation, 0, len(idx))
-	for _, i := range idx {
-		out = append(out, candidates[i])
-	}
-	return out, nil
+	return candidateBatch(free, certain), nil
 }

@@ -107,9 +107,12 @@ func (d *DB) buildColumnar() *ColDB {
 		}
 		blocks := seg.blocks
 		rel := seg.rel
-		// Key-sort the blocks by interned key tuple: a deterministic
+		// Sort the blocks by interned key tuple: a deterministic
 		// layout that keeps equal prefixes adjacent. Keys are unique
-		// per relation, so the order is total.
+		// per relation, so the order is total. IDs follow interning
+		// (fact) order, not string order, so spans are NOT in key
+		// string order: a list read off them (certain answers) must be
+		// sorted by string before it is returned (answer.Batch.Sort).
 		ord := make([]int, len(blocks))
 		for i := range ord {
 			ord[i] = i

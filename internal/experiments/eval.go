@@ -58,10 +58,13 @@ const (
 		"every memoized structure per op via ResetCaches, so each op pays the index, block, and " +
 		"columnar builds. The retired row-oriented walk's certain-row numbers are history in " +
 		"baseline_pre_pr. " +
-		"answers-flat/answers-sharded: certain answers of x on a large certain chain — the " +
-		"monolithic sweep vs the key-partitioned scatter-gather (per-shard columnar span sweeps " +
-		"merged by sorted key) at increasing shard counts; the pool is built and warmed outside " +
-		"the timed loop, as the serving layer caches it per snapshot version. " +
+		"answers-flat/answers-sharded: certain answers of x on a large certain chain as the " +
+		"key-ordered sym.ID batch the serving layer encodes (Plan.CertainAnswerBatch) — the " +
+		"monolithic sweep vs the key-partitioned scatter-gather (per-shard columnar span sweeps, " +
+		"each part sorted on its shard, k-way merged by binding key) at increasing shard counts; " +
+		"answers-flat allocs_per_op must stay under a constant independent of the answer count. " +
+		"The pool is built and warmed outside the timed loop, as the serving layer caches it per " +
+		"snapshot version. " +
 		"mutate-apply/mutate-rebuild: one single-fact delta against the warm instance — the MVCC " +
 		"structural-sharing Apply (touched relation respliced, untouched columns aliased) vs " +
 		"rebuilding the database and its columnar view from the full fact list; p50_ns/p99_ns are " +
@@ -101,6 +104,11 @@ func evalMutationBlocks(quick bool) int {
 	}
 	return 100000
 }
+
+// maxAnswersFlatAllocs bounds the allocs/op of the answers-flat row:
+// a constant, because an answers batch allocates per request, never
+// per answer.
+const maxAnswersFlatAllocs = 16
 
 // evalShardSweep is the fan-outs of the sharded answers scaling rows.
 var evalShardSweep = []int{1, 2, 4, 8}
@@ -164,7 +172,12 @@ var prePRBaseline = map[string]string{
 	// evaluator.
 	"certain-row/10k/warm":  "7.62 ms/op, 1.74 MB/op, 64.1k allocs/op",
 	"certain-row/100k/warm": "81.92 ms/op, 15.77 MB/op, 649.5k allocs/op",
-	"measured_on":           "Intel Xeon @ 2.10GHz, go1.x, same harness (BenchmarkCertainAcyclic*, BenchmarkCertainAnswersPool)",
+	// The answers rows while every answer was a query.Valuation map,
+	// sorted by a key string per answer: the last BENCH_eval.json
+	// before answers became key-ordered sym.ID batches.
+	"pre_batch/answers-flat/100k/warm":      "59.50 ms/op, 18.20 MB/op, 172.0k allocs/op",
+	"pre_batch/answers-sharded/100k/2/warm": "52.52 ms/op, 18.51 MB/op, 172.1k allocs/op",
+	"measured_on":                           "Intel Xeon @ 2.10GHz, go1.x, same harness (BenchmarkCertainAcyclic*, BenchmarkCertainAnswersPool)",
 }
 
 // evalFalsifiedChainDB mirrors the repository-root falsifiedChainDB
@@ -309,14 +322,16 @@ func RunEval(quick bool) (*EvalReport, error) {
 
 	// Sharded answers scaling: one large certain chain, the flat
 	// (monolithic) sweep as the baseline, then the key-partitioned
-	// scatter-gather at increasing fan-outs over the same index.
+	// scatter-gather at increasing fan-outs over the same index. Both
+	// measure the batch the serving layer encodes, not the Go API's
+	// per-answer Valuations.
 	sd := evalChainDB(q, evalShardChainN(quick))
 	six := match.NewIndex(sd)
 	ctx := context.Background()
 	flat := testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := plan.CertainAnswersIndexedCtx(ctx, free, six, core.Options{}); err != nil {
+			if _, err := plan.CertainAnswerBatch(ctx, free, six, core.Options{}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -338,7 +353,7 @@ func RunEval(quick bool) (*EvalReport, error) {
 		r := testing.Benchmark(func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := plan.CertainAnswersIndexedCtx(ctx, free, six, core.Options{ShardPool: pool}); err != nil {
+				if _, err := plan.CertainAnswerBatch(ctx, free, six, core.Options{ShardPool: pool}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -728,6 +743,14 @@ func ValidateEvalJSON(path string, quick bool) error {
 			}
 		case "answers-flat":
 			flatBlocks = res.Blocks
+			// The answers batch gate: answers travel as one key-ordered
+			// sym.ID batch, so the allocations of a request do not grow
+			// with its answers (the quick and full sweeps differ 86x in
+			// answer count and share this bound).
+			if res.AllocsPerOp > maxAnswersFlatAllocs {
+				return fmt.Errorf("%s: results[%d] answers-flat/%d reports %d allocs/op, over the %d a batch request may spend whatever its answer count (regenerate with -evaljson)",
+					path, i, res.Blocks, res.AllocsPerOp, maxAnswersFlatAllocs)
+			}
 		case "answers-sharded":
 			delete(shardMissing, res.Shards)
 			if shardedBlocks != 0 && shardedBlocks != res.Blocks {

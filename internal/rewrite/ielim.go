@@ -25,8 +25,9 @@ package rewrite
 
 import (
 	"fmt"
-	"sort"
+	"sync"
 
+	"cqa/internal/answer"
 	"cqa/internal/db"
 	"cqa/internal/evalctx"
 	"cqa/internal/match"
@@ -562,59 +563,70 @@ func (e *Eliminator) CertainOverSpans(ix *match.Index, spans []int32, chk *evalc
 
 // SweepSpans is the certain-answers block sweep (see SweepableFree):
 // for each listed block of the top relation (nil = every block) the
-// candidate binding is read off the block key, the block runs the
-// Lemma 9 test under it, and the passing bindings are returned in span
-// order. The memo table is shared across the whole sweep. Free
+// SweepSpanBits kernel decides the Lemma 9 test under the binding read
+// off the block key, and the passing blocks' key IDs are gathered into
+// a batch, one column per distinct free variable in sorted order, and
+// sorted into binding-key order (spans are in interning order, not key
+// order). The memo table is shared across the whole sweep. Free
 // variables that do not all read off the top atom's key are an error.
-func (e *Eliminator) SweepSpans(ix *match.Index, spans []int32, free []query.Var, chk *evalctx.Checker) ([]query.Valuation, error) {
+func (e *Eliminator) SweepSpans(ix *match.Index, spans []int32, free []query.Var, chk *evalctx.Checker) (answer.Batch, error) {
 	c, p, n, err := e.topBlocks(ix, spans)
 	if err != nil {
-		return nil, err
+		return answer.Batch{}, err
 	}
 	lv := &p.levels[0]
-	// Column position of each free variable in the top atom's key.
-	freeCol := make([]int, len(free))
-	for j, v := range free {
-		freeCol[j] = -1
-		if slot, known := e.varSlot[v]; known {
+	vars := answer.Columns(free)
+	// Key column of each answer column in the top atom.
+	keyCol := make([]int, len(vars))
+	for j, v := range vars {
+		keyCol[j] = -1
+		if slot, known := e.varSlot[query.Var(v)]; known {
 			for i, t := range lv.key {
 				if t.slot == slot {
-					freeCol[j] = i
+					keyCol[j] = i
 					break
 				}
 			}
 		}
-		if freeCol[j] < 0 {
-			return nil, fmt.Errorf("rewrite: free variable %s is not a key variable of %s", v, e.order[0])
+		if keyCol[j] < 0 {
+			return answer.Batch{}, fmt.Errorf("rewrite: free variable %s is not a key variable of %s", v, e.order[0])
 		}
 	}
-	ev := e.acquire(c, p, chk)
-	sp := chk.Tracer().Begin(trace.StageEliminator)
-	var out []query.Valuation
-	for i := 0; i < n; i++ {
-		if ev.chk.Step() != nil {
-			break
+	bp := verdictBufs.Get().(*[]bool)
+	defer verdictBufs.Put(bp)
+	if cap(*bp) < n {
+		*bp = make([]bool, n)
+	}
+	bits := (*bp)[:n]
+	if err := e.SweepSpanBits(ix, spans, bits, chk); err != nil {
+		return answer.Batch{}, err
+	}
+	passing := 0
+	for _, ok := range bits {
+		if ok {
+			passing++
 		}
-		ev.trSteps++
-		b := spanAt(spans, i)
-		if ev.blockCertain(0, b) && ev.chk.Err() == nil {
-			r := lv.rel.Rel
-			lo, _ := r.Span(b)
-			val := make(query.Valuation, len(free))
-			for j, v := range free {
-				val[v] = query.Const(c.Syms.String(r.Col(freeCol[j])[lo]))
+	}
+	ids := make([]sym.ID, 0, passing*len(vars))
+	if passing > 0 {
+		r := lv.rel.Rel
+		for i, ok := range bits {
+			if !ok {
+				continue
 			}
-			out = append(out, val)
+			lo, _ := r.Span(spanAt(spans, i))
+			for _, k := range keyCol {
+				ids = append(ids, r.Col(k)[lo])
+			}
 		}
 	}
-	sp.End()
-	ev.flush(chk)
-	e.release(ev)
-	if err := chk.Err(); err != nil {
-		return nil, err
-	}
-	return out, nil
+	b := answer.Batch{Vars: vars, IDs: ids, Syms: c.Syms}
+	b.Sort()
+	return b, nil
 }
+
+// verdictBufs recycles SweepSpans' verdict buffers across requests.
+var verdictBufs = sync.Pool{New: func() any { return new([]bool) }}
 
 // SweepSpanBits is the zero-allocation batched answers kernel: it
 // decides the Lemma 9 test for each listed block of the top relation
@@ -643,22 +655,4 @@ func (e *Eliminator) SweepSpanBits(ix *match.Index, spans []int32, out []bool, c
 	ev.flush(chk)
 	e.release(ev)
 	return chk.Err()
-}
-
-// SortValuationsByKey sorts answer bindings into the canonical
-// binding-key order the scatter-gather merge uses, computing each key
-// once (decorate-sort-undecorate).
-func SortValuationsByKey(vals []query.Valuation) {
-	type keyed struct {
-		key string
-		val query.Valuation
-	}
-	all := make([]keyed, len(vals))
-	for i, v := range vals {
-		all[i] = keyed{key: v.Key(), val: v}
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i].key < all[j].key })
-	for i, k := range all {
-		vals[i] = k.val
-	}
 }

@@ -303,7 +303,7 @@ func TestSweepSpansMatchesReferences(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameAnswers(t, got, want, d)
+	sameAnswers(t, got.Rows().Valuations(), want, d)
 	// Partitioned sweep unions to the same set; an empty partition
 	// sweeps nothing.
 	cr := d.Columnar().Rel("R")
@@ -317,7 +317,7 @@ func TestSweepSpansMatchesReferences(t *testing.T) {
 		if err != nil {
 			t.Fatalf("partitioned SweepSpans(%v): %v", part, err)
 		}
-		union = append(union, vals...)
+		union = append(union, vals.Rows().Valuations()...)
 	}
 	sameAnswers(t, union, want, d)
 	if _, err := el.SweepSpans(ix, []int32{-1}, free, nil); err == nil {
@@ -338,8 +338,8 @@ func TestSweepSpansMatchesReferences(t *testing.T) {
 			passing++
 		}
 	}
-	if passing != len(got) {
-		t.Fatalf("SweepSpanBits reports %d passing blocks, SweepSpans returned %d answers", passing, len(got))
+	if passing != got.Len() {
+		t.Fatalf("SweepSpanBits reports %d passing blocks, SweepSpans returned %d answers", passing, got.Len())
 	}
 	// Undersized output buffer is refused.
 	if err := el.SweepSpanBits(ix, nil, make([]bool, cr.Rel.NumBlocks()-1), nil); err == nil {
@@ -374,7 +374,7 @@ func TestSweepSpansRandomDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sameAnswers(t, got, want, d)
+		sameAnswers(t, got.Rows().Valuations(), want, d)
 	}
 	if decided < 60 {
 		t.Fatalf("references decided only %d/80 trials", decided)

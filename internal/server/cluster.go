@@ -142,7 +142,7 @@ func (s *Server) answersViaCluster(w http.ResponseWriter, r *http.Request, req c
 	}
 	ctx, cancel := s.evalContext(r, req.TimeoutMs)
 	defer cancel()
-	vals, err := s.router.CertainAnswers(ctx, plan, req.DB, free, opts)
+	rows, err := s.router.CertainAnswers(ctx, plan, req.DB, free, opts)
 	elapsed := time.Since(start)
 	entry := slowEntry{
 		Time:     start.UTC().Format(time.RFC3339Nano),
@@ -160,21 +160,11 @@ func (s *Server) answersViaCluster(w http.ResponseWriter, r *http.Request, req c
 		return
 	}
 	s.observeEval(entry)
-	answers := make([]map[string]string, len(vals))
-	for i, v := range vals {
-		m := make(map[string]string, len(v))
-		for x, c := range v {
-			m[string(x)] = string(c)
-		}
-		answers[i] = m
-	}
-	writeJSON(w, http.StatusOK, answersResponse{
-		Query:   plan.Query.String(),
-		Free:    req.Free,
-		Answers: answers,
-		Count:   len(answers),
-		Class:   plan.Class.String(),
-		Cached:  hit,
-		DB:      ref,
-	})
+	writeAnswers(w, &answersHead{
+		Query:  plan.Query.String(),
+		Free:   req.Free,
+		Class:  plan.Class.String(),
+		Cached: hit,
+		DB:     ref,
+	}, rows)
 }

@@ -368,19 +368,6 @@ type countResponse struct {
 	Trace *traceInfo `json:"trace,omitempty"`
 }
 
-type answersResponse struct {
-	Query   string              `json:"query"`
-	Free    []string            `json:"free"`
-	Answers []map[string]string `json:"answers"`
-	Count   int                 `json:"count"`
-	Class   string              `json:"class"`
-	Cached  bool                `json:"cached"`
-	DB      *dbRef              `json:"db,omitempty"`
-	// Trace is the per-stage breakdown; present only when the request
-	// carried an X-CQA-Trace header.
-	Trace *traceInfo `json:"trace,omitempty"`
-}
-
 type rewriteRequest struct {
 	Query   string `json:"query"`
 	Dialect string `json:"dialect,omitempty"` // "logic" (default) or "sql"
@@ -897,7 +884,7 @@ func (s *Server) handleAnswers(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := s.evalContext(r, req.TimeoutMs)
 	defer cancel()
-	vals, err := plan.CertainAnswersIndexedCtx(ctx, free, ix, opts)
+	batch, err := plan.CertainAnswerBatch(ctx, free, ix, opts)
 	elapsed := time.Since(start)
 	entry := slowEntry{
 		Time:     start.UTC().Format(time.RFC3339Nano),
@@ -920,24 +907,14 @@ func (s *Server) handleAnswers(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.observeEval(entry)
-	answers := make([]map[string]string, len(vals))
-	for i, v := range vals {
-		m := make(map[string]string, len(v))
-		for x, c := range v {
-			m[string(x)] = string(c)
-		}
-		answers[i] = m
-	}
-	writeJSON(w, http.StatusOK, answersResponse{
-		Query:   plan.Query.String(),
-		Free:    req.Free,
-		Answers: answers,
-		Count:   len(answers),
-		Class:   plan.Class.String(),
-		Cached:  hit,
-		DB:      ref,
-		Trace:   traceJSON(tr, elapsed),
-	})
+	writeAnswers(w, &answersHead{
+		Query:  plan.Query.String(),
+		Free:   req.Free,
+		Class:  plan.Class.String(),
+		Cached: hit,
+		DB:     ref,
+		Trace:  traceJSON(tr, elapsed),
+	}, batch)
 }
 
 func (s *Server) handleRewrite(w http.ResponseWriter, r *http.Request) {

@@ -68,6 +68,17 @@ func (t *Table) String(id ID) string {
 	return s
 }
 
+// Symbols returns the strings of every ID assigned so far, indexed by
+// ID, under one shared lock: a batch of lookups resolves through it
+// without locking per ID. The table only appends, so the returned
+// prefix never changes; the slice is shared and must not be modified.
+func (t *Table) Symbols() []string {
+	t.mu.RLock()
+	s := t.strs[:len(t.strs):len(t.strs)]
+	t.mu.RUnlock()
+	return s
+}
+
 // Len returns the number of interned symbols.
 func (t *Table) Len() int {
 	t.mu.RLock()

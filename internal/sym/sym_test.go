@@ -77,6 +77,10 @@ func TestConcurrentInternLookup(t *testing.T) {
 					t.Errorf("String(%d) = %q, want %q", ids[i], got, s)
 					return
 				}
+				if got := tb.Symbols()[ids[i]]; got != s {
+					t.Errorf("Symbols()[%d] = %q, want %q", ids[i], got, s)
+					return
+				}
 			}
 			results[w] = ids
 		}(w)
@@ -91,5 +95,27 @@ func TestConcurrentInternLookup(t *testing.T) {
 				t.Fatalf("worker %d got ID %d for key %d, worker 0 got %d", w, results[w][i], i, results[0][i])
 			}
 		}
+	}
+}
+
+// TestSymbolsSnapshot: Symbols lists every ID's string by ID, and a
+// snapshot keeps its contents while the table grows.
+func TestSymbolsSnapshot(t *testing.T) {
+	tb := NewTable()
+	for _, w := range []string{"b", "a", "c"} {
+		tb.Intern(w)
+	}
+	snap := tb.Symbols()
+	if len(snap) != 3 || snap[0] != "b" || snap[1] != "a" || snap[2] != "c" {
+		t.Fatalf("Symbols() = %q, want [b a c]", snap)
+	}
+	for i := 0; i < 100; i++ {
+		tb.Intern(fmt.Sprintf("n%d", i))
+	}
+	if len(snap) != 3 || snap[0] != "b" || snap[2] != "c" {
+		t.Fatalf("snapshot changed under interning: %q", snap)
+	}
+	if got := tb.Symbols(); len(got) != 103 || got[102] != "n99" {
+		t.Fatalf("Symbols() after growth has %d entries, last %q", len(got), got[len(got)-1])
 	}
 }
